@@ -26,6 +26,7 @@ from .autodiff import (
     Kernel2D,
     Tape,
     Tensor,
+    _as_tensor,
     adaptive_avg_pool,
     add,
     l2_normalize,
@@ -203,10 +204,6 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     }
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in scenario.params.items()}
@@ -233,8 +230,8 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    if eps <= 0.0:
-        raise ValueError(f"step size must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {eps}")
     config = FilterConfig()
     worst = {(g, l): 0.0 for g in PARAM_GROUPS for l in LOSS_NAMES}
     evals = {(g, l): 0 for g in PARAM_GROUPS for l in LOSS_NAMES}

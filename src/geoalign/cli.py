@@ -150,6 +150,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
+        if not 0.0 < value < float("inf"):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     rows = run_gradient_checks(base_seed=args.seed, eps=args.eps)
     print(f"{'group':<14}{'loss':<10}{'max_rel_err':>14}  status")
     offenders = []

@@ -19,7 +19,7 @@ component's contribution to retrieval quality can be measured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .autodiff import (
 )
 from .scale_fusion import FusionParams, depth_feature_stack, fuse, scale_branches, scale_weights
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import DepthMap, FilterConfig, GateParams, filter_features
+from .structure_filter import DepthMap, FilterConfig, GateParams, modulate, structure_mask
 
 ARMS = ("base", "mgsa", "mgsf", "full")
 FEATURE_GRID = (16, 16)
@@ -148,18 +148,32 @@ def embed(
     handling oblique geometry is its job — while the encoder sees the
     detrended one.
     """
-    h, w = grid
-    stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), h, w)))
-    features = encoder.forward(stack, overrides)
-    if fusion is not None:
-        branches = scale_branches(features, fusion)
-        weights = scale_weights(stack, fusion)
-        features = fuse(features, branches, weights)
-    if gate is not None:
-        features, _ = filter_features(features, depth, gate, config or ARM_FILTER_CONFIG)
-    pooled = adaptive_avg_pool(features, 1, 1)
-    flat = reshape(pooled, (encoder.channels,))
-    return l2_normalize(flat)
+    parts = (fusion is not None, gate is not None)
+    return embed_arms(depth, encoder, [parts], fusion, gate, config, grid, overrides)[0]
+
+
+def embed_arms(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
+               fusion: FusionParams | None = None, gate: GateParams | None = None,
+               config: FilterConfig | None = None, grid: tuple[int, int] = FEATURE_GRID,
+               overrides: Mapping[str, Tensor] | None = None) -> list[Tensor]:
+    """``embed`` for each (uses fusion, uses mask) pair in ``arm_parts``.
+
+    The encoder, the fusion and the mask each run at most once for all pairs;
+    only the modulation, pooling and normalization run per pair.
+    """
+    stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *grid)))
+    plain = encoder.forward(stack, overrides)
+    if any(fused for fused, _ in arm_parts):
+        fused_features = fuse(plain, scale_branches(plain, fusion), scale_weights(stack, fusion))
+    if any(masked for _, masked in arm_parts):
+        mask = structure_mask(depth, *grid, gate, config or ARM_FILTER_CONFIG)
+    embeddings = []
+    for fused, masked in arm_parts:
+        features = fused_features if fused else plain
+        features = modulate(features, mask) if masked else features
+        pooled = adaptive_avg_pool(features, 1, 1)
+        embeddings.append(l2_normalize(reshape(pooled, (encoder.channels,))))
+    return embeddings
 
 
 def rank_gallery(query: Array, gallery: Array) -> Array:
@@ -203,13 +217,19 @@ class RetrievalReport:
     ranks: tuple[int, ...]
 
 
+def _arm_parts(arm: str) -> tuple[bool, bool]:
+    """Whether ``arm`` uses (scale fusion, the geometric mask)."""
+    if arm not in ARMS:
+        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
+    return arm in ("mgsa", "full"), arm in ("mgsf", "full")
+
+
 def arm_components(
     arm: str, channels: int = EMBEDDING_DIM, seed: int = 0
 ) -> tuple[FusionParams | None, GateParams | None]:
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
-    fusion = FusionParams.smoothing(channels, seed=seed) if arm in ("mgsa", "full") else None
-    gate = GateParams() if arm in ("mgsf", "full") else None
+    fused, masked = _arm_parts(arm)
+    fusion = FusionParams.smoothing(channels, seed=seed) if fused else None
+    gate = GateParams() if masked else None
     return fusion, gate
 
 
@@ -226,26 +246,27 @@ def run_experiment(
     Everything — scene content, encoder weights, fusion head — derives from
     ``seed``, so two runs with the same arguments produce identical reports.
     Scene seeds are ``default_rng(seed).integers(0, 2**31 - 1, n_scenes)``,
-    each passed to ``spec_fn`` in order.
+    each passed to ``spec_fn`` in order. Each depth map is embedded for all
+    arms at once (``embed_arms``).
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
+    arm_parts = [_arm_parts(arm) for arm in arms]
     rng = np.random.default_rng(seed)
     scene_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=n_scenes)]
     specs = [spec_fn(s) for s in scene_seeds]
     gallery_depths = [render_ortho(spec)[0] for spec in specs]
     query_depths = [render_oblique(spec)[0] for spec in specs]
     encoder = ToyEncoder.seeded(seed=seed, channels=channels)
+    fusion, gate = arm_components("full", channels=channels, seed=seed)
+    gallery_rows, query_rows = (
+        [embed_arms(d, encoder, arm_parts, fusion, gate, grid=grid) for d in depths]
+        for depths in (gallery_depths, query_depths))
     reports: dict[str, RetrievalReport] = {}
-    for arm in arms:
-        fusion, gate = arm_components(arm, channels=channels, seed=seed)
-        gallery = np.stack(
-            [embed(d, encoder, fusion=fusion, gate=gate, grid=grid).data for d in gallery_depths]
-        )
-        ranks = []
-        for i, d in enumerate(query_depths):
-            q = embed(d, encoder, fusion=fusion, gate=gate, grid=grid).data
-            ranks.append(true_rank(rank_gallery(q, gallery), i))
+    for k, arm in enumerate(arms):
+        gallery = np.stack([row[k].data for row in gallery_rows])
+        ranks = [true_rank(rank_gallery(row[k].data, gallery), i)
+                 for i, row in enumerate(query_rows)]
         reports[arm] = RetrievalReport(
             arm=arm,
             n_queries=n_scenes,

@@ -98,14 +98,6 @@ class EdgePartition:
         return ~self.edge_mask
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(*np.nonzero(self.edge_mask)))
-
-    @property
-    def flat(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(*np.nonzero(~self.edge_mask)))
-
-    @property
     def n_edges(self) -> int:
         return int(self.edge_mask.sum())
 
@@ -342,14 +334,3 @@ def structure_mask(depth: DepthMap, h: int, w: int,
     consistency = normal_consistency(field, reference)
     raw = adaptive_gate(consistency, gate)
     return rectify_edges(raw, partition)
-
-
-def filter_features(features: Tensor, depth: DepthMap,
-                    gate: GateParams = GateParams(),
-                    cfg: FilterConfig = FilterConfig()) -> tuple[Tensor, GeoMask]:
-    """Compute the mask at the feature resolution and apply it."""
-    if features.data.ndim != 4:
-        raise ValueError(f"features must be 4-d, got shape {features.shape}")
-    h, w = features.data.shape[2:]
-    mask = structure_mask(depth, h, w, gate, cfg)
-    return modulate(features, mask), mask

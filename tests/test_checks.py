@@ -33,5 +33,6 @@ class TestRunGradientChecks:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one seed"):
             run_gradient_checks(n_seeds=0)
-        with pytest.raises(ValueError, match="step size"):
-            run_gradient_checks(eps=0.0)
+        for eps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step size"):
+                run_gradient_checks(eps=eps)

@@ -191,6 +191,14 @@ class TestGradcheck:
         assert len(body) == 24
         assert all(line.endswith("ok") for line in body)
 
+    @pytest.mark.parametrize("flag", ["--tol", "--eps"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    def test_non_positive_or_non_finite_values_exit_1(self, capsys, flag, value):
+        assert main(["gradcheck", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be positive and finite")
+
     def test_unreachable_tolerance_fails_with_exit_2(self, capsys):
         assert main(["gradcheck", "--tol", "1e-15"]) == 2
         captured = capsys.readouterr()

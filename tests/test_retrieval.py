@@ -4,15 +4,19 @@ the ablation experiment."""
 import numpy as np
 import pytest
 
+from geoalign import retrieval
+from geoalign.autodiff import Tensor, adaptive_avg_pool, l2_normalize, reshape
 from geoalign.retrieval import (
     ARM_FILTER_CONFIG,
     ARMS,
     EMBEDDING_DIM,
+    FEATURE_GRID,
     RetrievalReport,
     ToyEncoder,
     arm_components,
     detrend_depth,
     embed,
+    embed_arms,
     mean_average_precision,
     rank_gallery,
     recall_at_k,
@@ -20,9 +24,15 @@ from geoalign.retrieval import (
     standardize_stack,
     true_rank,
 )
-from geoalign.scale_fusion import FusionParams
+from geoalign.scale_fusion import (
+    FusionParams,
+    depth_feature_stack,
+    fuse,
+    scale_branches,
+    scale_weights,
+)
 from geoalign.scenes import Box, SceneSpec, facade_heavy_spec, render_oblique, render_ortho
-from geoalign.structure_filter import DepthMap, GateParams
+from geoalign.structure_filter import DepthMap, GateParams, modulate, structure_mask
 
 
 EASY_A = SceneSpec(40.0, (Box(26, 26, 12, 12, 18.0),), (0.03, 0.02),
@@ -34,6 +44,20 @@ EASY_B = SceneSpec(40.0, (Box(6, 6, 20, 20, 32.0), Box(36, 10, 18, 14, 25.0),
 
 def scene_depth(seed):
     return render_oblique(facade_heavy_spec(seed))[0]
+
+
+def embed_one_arm(depth, encoder, fusion=None, gate=None):
+    """The embedding chain of one arm on its own, recomputing every stage."""
+    h, w = FEATURE_GRID
+    stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), h, w)))
+    features = encoder.forward(stack)
+    if fusion is not None:
+        features = fuse(features, scale_branches(features, fusion),
+                        scale_weights(stack, fusion))
+    if gate is not None:
+        features = modulate(features, structure_mask(depth, h, w, gate, ARM_FILTER_CONFIG))
+    pooled = adaptive_avg_pool(features, 1, 1)
+    return l2_normalize(reshape(pooled, (encoder.channels,)))
 
 
 class TestToyEncoder:
@@ -136,6 +160,20 @@ class TestEmbed:
             gains.append(masked - plain)
         assert float(np.mean(gains)) >= 0.0
 
+    def test_shared_arms_are_byte_equal_to_each_arm_alone(self):
+        enc = ToyEncoder.seeded(seed=1, channels=16)
+        fusion, gate = arm_components("full", channels=16, seed=1)
+        parts = [(False, False), (True, False), (False, True), (True, True)]  # ARMS order
+        for seed in range(3):
+            spec = facade_heavy_spec(seed)
+            for depth in (render_ortho(spec)[0], render_oblique(spec)[0]):
+                shared = embed_arms(depth, enc, parts, fusion, gate)
+                for arm, e in zip(ARMS, shared):
+                    f, g = arm_components(arm, channels=16, seed=1)
+                    alone = embed(depth, enc, fusion=f, gate=g).data.tobytes()
+                    assert e.data.tobytes() == alone, arm
+                    assert embed_one_arm(depth, enc, f, g).data.tobytes() == alone, arm
+
     def test_arm_filter_config_uses_single_dilation_wide_edge_band(self):
         assert ARM_FILTER_CONFIG.gradient_dilation == 1
         assert ARM_FILTER_CONFIG.edge_quantile == 0.25
@@ -231,3 +269,40 @@ class TestRunExperiment:
     def test_rejects_empty_experiment(self):
         with pytest.raises(ValueError, match="at least one scene"):
             run_experiment(n_scenes=0)
+
+    def test_unknown_arm_rejected_before_any_scene_is_built(self):
+        built = []
+
+        def counting_spec(seed):
+            built.append(seed)
+            return facade_heavy_spec(seed)
+
+        with pytest.raises(ValueError, match="unknown arm 'extra'"):
+            run_experiment(n_scenes=3, arms=("base", "extra"), spec_fn=counting_spec)
+        assert built == []
+
+    def test_each_arm_alone_reproduces_the_all_arm_report(self):
+        every = run_experiment(n_scenes=4, seed=2, channels=16)
+        for arm in ARMS:
+            assert run_experiment(n_scenes=4, seed=2, channels=16, arms=(arm,))[arm] == every[arm]
+
+    @pytest.mark.parametrize("arms", [ARMS, ("base",), ("base", "mgsa"), ("mgsa",),
+                                      ("mgsf",), ("full",), ("mgsf", "full")])
+    def test_shared_work_runs_once_per_depth_map(self, monkeypatch, arms):
+        calls = {"forward": 0, "fuse": 0, "mask": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ToyEncoder, "forward", counted("forward", ToyEncoder.forward))
+        monkeypatch.setattr(retrieval, "fuse", counted("fuse", retrieval.fuse))
+        monkeypatch.setattr(retrieval, "structure_mask",
+                            counted("mask", retrieval.structure_mask))
+        n = 3
+        run_experiment(n_scenes=n, seed=1, arms=arms, channels=8)
+        assert calls["forward"] == 2 * n
+        assert calls["fuse"] == (2 * n if {"mgsa", "full"} & set(arms) else 0)
+        assert calls["mask"] == (2 * n if {"mgsf", "full"} & set(arms) else 0)

@@ -22,7 +22,6 @@ from geoalign.structure_filter import (
     cluster_normals,
     compute_normals,
     dominant_normal,
-    filter_features,
     macro_gradient,
     modulate,
     normal_consistency,
@@ -30,6 +29,19 @@ from geoalign.structure_filter import (
     rectify_edges,
     structure_mask,
 )
+
+
+def filter_features(features, depth, gate=GateParams(), cfg=FilterConfig()):
+    """Mask at the feature grid, then modulate: the retrieval arms' masking step."""
+    if features.data.ndim != 4:
+        raise ValueError(f"features must be 4-d, got shape {features.shape}")
+    mask = structure_mask(depth, *features.data.shape[2:], gate, cfg)
+    return modulate(features, mask), mask
+
+
+def pixels(mask):
+    """The (row, col) coordinates where a boolean raster is set."""
+    return frozenset(zip(*np.nonzero(mask)))
 
 
 def sigma(x):
@@ -129,14 +141,14 @@ class TestEdgePartition:
         part = partition_edges(np.zeros((5, 5)), np.zeros((5, 5)))
         assert part.n_edges == 0
         assert part.n_flat == 25
-        assert part.edges == frozenset()
+        assert pixels(part.edge_mask) == frozenset()
 
     def test_single_outlier_is_the_only_edge(self):
         gx = np.zeros((10, 10))
         gx[3, 7] = 100.0
         part = partition_edges(gx, np.zeros((10, 10)),
                                FilterConfig(edge_quantile=0.9))
-        assert part.edges == frozenset({(3, 7)})
+        assert pixels(part.edge_mask) == frozenset({(3, 7)})
         assert part.threshold == 0.0
 
     def test_two_level_field_splits_at_median(self):
@@ -158,7 +170,8 @@ class TestEdgePartition:
         gx, gy = rng.normal(size=(2, 8, 8))
         part = partition_edges(gx, gy)
         assert part.n_edges + part.n_flat == 64
-        assert part.edges | part.flat == {(i, j) for i in range(8) for j in range(8)}
+        everything = {(i, j) for i in range(8) for j in range(8)}
+        assert pixels(part.edge_mask) | pixels(part.flat_mask) == everything
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="quantile"):
