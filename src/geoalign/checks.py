@@ -7,12 +7,13 @@ weighted total), then compares analytic gradients against central finite
 differences at sampled coordinates of each parameter group.
 
 Two things are deliberately frozen per scene so the compared function is
-smooth: the depth-derived geometry (gradients, edge set, dominant normal,
+smooth: the depth-derived ``MaskGeometry`` (edge set, dominant normal,
 consistency field), which is data rather than parameters, and the
-stable/unstable activation partition, which is computed once from the
-baseline mask. Relative error uses ``|ga - gf| / max(|ga|, |gf|, floor)``
-with a floor of 1e-3, so near-zero gradients are compared absolutely at
-that scale instead of amplifying finite-difference noise.
+stable/unstable activation partition, which is computed once from that
+geometry's mask under the initial gate. Relative error uses
+``|ga - gf| / max(|ga|, |gf|, floor)`` with a floor of 1e-3, so near-zero
+gradients are compared absolutely at that scale instead of amplifying
+finite-difference noise.
 """
 
 from __future__ import annotations
@@ -54,21 +55,7 @@ from .scale_fusion import (
     scale_weights,
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import (
-    DepthMap,
-    EdgePartition,
-    FilterConfig,
-    GateParams,
-    adaptive_gate,
-    align_depth,
-    compute_normals,
-    dominant_normal,
-    macro_gradient,
-    modulate,
-    normal_consistency,
-    partition_edges,
-    rectify_edges,
-)
+from .structure_filter import FilterConfig, GateParams, MaskGeometry, align_depth, modulate
 
 LOSS_NAMES = ("contrast", "triplet", "total")
 PARAM_GROUPS = (
@@ -100,8 +87,7 @@ class GradientCheck:
 @dataclass(frozen=True)
 class _Geometry:
     stack: Array
-    consistency: Array
-    partition: EdgePartition
+    mask_geometry: MaskGeometry
 
 
 @dataclass(frozen=True)
@@ -113,31 +99,14 @@ class _Scenario:
     weights: LossWeights
 
 
-def _geometry(depth: DepthMap, config: FilterConfig) -> _Geometry:
-    stack = standardize_stack(depth_feature_stack(depth, *_GRID))
-    pooled = align_depth(depth, *_GRID)
-    gx, gy = macro_gradient(pooled, config.gradient_dilation)
-    field = compute_normals(gx, gy)
-    partition = partition_edges(gx, gy, config)
-    reference = dominant_normal(field, partition, config)
-    return _Geometry(stack, normal_consistency(field, reference), partition)
-
-
-def _baseline_mask(geometry: _Geometry, gain: float, bias: float) -> Array:
-    raw = 1.0 / (1.0 + np.exp(-(gain * geometry.consistency + bias)))
-    raw[geometry.partition.edge_mask] = 0.5
-    return raw
-
-
 def _build_scenario(seed: int, config: FilterConfig) -> _Scenario | None:
     rng = np.random.default_rng(seed)
     seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
     spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
-    geometries = (
-        _geometry(render_oblique(spec_a)[0], config),
-        _geometry(render_ortho(spec_a)[0], config),
-        _geometry(render_ortho(spec_b)[0], config),
-    )
+    geometries = tuple(
+        _Geometry(standardize_stack(depth_feature_stack(depth, *_GRID)),
+                  MaskGeometry.from_depth(align_depth(depth, *_GRID), config))
+        for depth in (render_oblique(spec_a)[0], render_ortho(spec_a)[0], render_ortho(spec_b)[0]))
     encoder = ToyEncoder.seeded(seed, channels=_CHANNELS)
     params = {
         "mid_kernel": 1.0 / 9.0 + rng.normal(0.0, 0.02, (_CHANNELS, 3, 3)),
@@ -149,10 +118,8 @@ def _build_scenario(seed: int, config: FilterConfig) -> _Scenario | None:
         "enc_dw1": encoder.dw1.copy(),
         "enc_pw2": encoder.pw2.copy(),
     }
-    contrast_partition = partition_by_quantile(
-        _baseline_mask(geometries[0], float(params["gate_gain"]),
-                       float(params["gate_bias"]))
-    )
+    baseline_gate = GateParams(float(params["gate_gain"]), float(params["gate_bias"]))
+    contrast_partition = partition_by_quantile(geometries[0].mask_geometry.mask(baseline_gate))
     if contrast_partition.n_stable == 0 or contrast_partition.n_unstable == 0:
         return None
     scenario = _Scenario(encoder, geometries, contrast_partition, params,
@@ -183,9 +150,7 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
         branches = scale_branches(features, fusion)
         weights = scale_weights(x, fusion)
         features = fuse(features, branches, weights)
-        mask = rectify_edges(adaptive_gate(geometry.consistency, gate),
-                             geometry.partition)
-        features = modulate(features, mask)
+        features = modulate(features, geometry.mask_geometry.mask(gate))
         if anchor_features is None:
             anchor_features = features
         pooled = adaptive_avg_pool(features, _POOL, _POOL)

@@ -11,6 +11,7 @@ Exit codes: 0 on success; 1 for usage, file-format or validation errors;
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -29,18 +30,7 @@ from .formats import (
 )
 from .retrieval import ARMS, run_experiment
 from .scenes import LabelMap, NotEvaluableError, class_mask_means, mask_quality, render_oblique, render_ortho
-from .structure_filter import (
-    DepthMap,
-    FilterConfig,
-    GateParams,
-    adaptive_gate,
-    compute_normals,
-    dominant_normal,
-    macro_gradient,
-    normal_consistency,
-    partition_edges,
-    rectify_edges,
-)
+from .structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry
 
 _EPILOG = """\
 file formats:
@@ -107,21 +97,16 @@ def cmd_mask(args) -> int:
         clusters=args.k,
         cluster_seed=args.seed,
     )
-    gate = GateParams(gain=args.alpha, bias=args.beta)
-    gx, gy = macro_gradient(depth, config.gradient_dilation)
-    field = compute_normals(gx, gy)
-    partition = partition_edges(gx, gy, config)
-    reference = dominant_normal(field, partition, config)
-    consistency = normal_consistency(field, reference)
-    mask = rectify_edges(adaptive_gate(consistency, gate), partition)
-    values = mask.values
+    # The raster is already at its own resolution, so there is nothing to pool.
+    geometry = MaskGeometry.from_depth(depth, config)
+    values = geometry.mask(GateParams(gain=args.alpha, bias=args.beta)).values
     write_f64_raster(f"{args.out_prefix}.mask.geod", values)
     write_mask_pgm(f"{args.out_prefix}.mask.pgm", values)
     header = "n_dom_x,n_dom_y,n_dom_z,tau_grad,n_edges,n_flat,mask_mean,mask_min,mask_max"
     row = ",".join(
-        [_float_csv(reference[0]), _float_csv(reference[1]), _float_csv(reference[2]),
-         _float_csv(partition.threshold), str(partition.n_edges),
-         str(partition.n_flat), _float_csv(values.mean()),
+        [_float_csv(n) for n in geometry.reference] +
+        [_float_csv(geometry.partition.threshold), str(geometry.partition.n_edges),
+         str(geometry.partition.n_flat), _float_csv(values.mean()),
          _float_csv(values.min()), _float_csv(values.max())]
     )
     atomic_write_text(f"{args.out_prefix}.stats.csv", f"{header}\n{row}\n")
@@ -150,9 +135,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
-        if not 0.0 < value < float("inf"):
-            raise ValueError(f"{flag} must be positive and finite, got {value}")
     rows = run_gradient_checks(base_seed=args.seed, eps=args.eps)
     print(f"{'group':<14}{'loss':<10}{'max_rel_err':>14}  status")
     offenders = []
@@ -264,10 +246,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Values a flag's type admits but no command can use: flag -> (rule, test).
+_FLAG_RULES = {
+    "alpha": ("finite", math.isfinite),
+    "beta": ("finite", math.isfinite),
+    "eps": ("positive and finite", lambda v: 0.0 < v < math.inf),
+    "tol": ("positive and finite", lambda v: 0.0 < v < math.inf),
+    "seed": ("non-negative", lambda v: v >= 0),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, (rule, ok) in _FLAG_RULES.items():
+            value = getattr(args, name, None)
+            if value is not None and not ok(value):
+                raise ValueError(f"--{name} must be {rule}, got {value}")
         return args.func(args)
     except NotEvaluableError as exc:
         print(f"error: {exc}", file=sys.stderr)

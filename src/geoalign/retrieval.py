@@ -86,11 +86,6 @@ class ToyEncoder:
     def channels(self) -> int:
         return self.pw1.shape[0]
 
-    @property
-    def embedding_dim(self) -> int:
-        """Output channel count; the global pool makes this the embedding size."""
-        return self.channels
-
     def forward(self, x: Tensor, overrides: Mapping[str, Tensor] | None = None) -> Tensor:
         p: dict[str, Tensor | Array] = {name: getattr(self, name) for name in self.PARAM_NAMES}
         if overrides:
@@ -251,6 +246,8 @@ def run_experiment(
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
+    if not arms:
+        raise ValueError("need at least one arm")
     arm_parts = [_arm_parts(arm) for arm in arms]
     rng = np.random.default_rng(seed)
     scene_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=n_scenes)]

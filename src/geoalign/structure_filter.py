@@ -10,7 +10,7 @@ by ``1 + mask`` are amplified where geometry is view-stable and left nearly
 untouched where it is not.
 
 Only the gate (its gain and bias) participates in gradient tracking; the
-normal/cluster machinery is a fixed geometric preprocessor.
+normal/cluster machinery is a fixed geometric preprocessor, ``MaskGeometry``.
 """
 
 from __future__ import annotations
@@ -322,15 +322,30 @@ def modulate(features: Tensor, mask: GeoMask) -> Tensor:
     return mul(features, add(m, 1.0))
 
 
+@dataclass(frozen=True)
+class MaskGeometry:
+    """The gate-independent part of one depth map's mask, at its own resolution."""
+
+    partition: EdgePartition
+    reference: Array
+    consistency: Array
+
+    @classmethod
+    def from_depth(cls, depth: DepthMap, cfg: FilterConfig = FilterConfig()) -> "MaskGeometry":
+        """Gradients, normals, edge split, dominant normal and consistency."""
+        gx, gy = macro_gradient(depth, cfg.gradient_dilation)
+        field = compute_normals(gx, gy)
+        partition = partition_edges(gx, gy, cfg)
+        reference = dominant_normal(field, partition, cfg)
+        return cls(partition, reference, normal_consistency(field, reference))
+
+    def mask(self, gate: GateParams = GateParams()) -> GeoMask:
+        """Gate the consistency field and reset the edge pixels to 0.5."""
+        return rectify_edges(adaptive_gate(self.consistency, gate), self.partition)
+
+
 def structure_mask(depth: DepthMap, h: int, w: int,
                    gate: GateParams = GateParams(),
                    cfg: FilterConfig = FilterConfig()) -> GeoMask:
     """Full depth -> attention-mask pipeline at resolution (h, w)."""
-    pooled = align_depth(depth, h, w)
-    gx, gy = macro_gradient(pooled, cfg.gradient_dilation)
-    field = compute_normals(gx, gy)
-    partition = partition_edges(gx, gy, cfg)
-    reference = dominant_normal(field, partition, cfg)
-    consistency = normal_consistency(field, reference)
-    raw = adaptive_gate(consistency, gate)
-    return rectify_edges(raw, partition)
+    return MaskGeometry.from_depth(align_depth(depth, h, w), cfg).mask(gate)

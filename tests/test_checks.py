@@ -1,8 +1,13 @@
 """The gradient-check battery that backs the `gradcheck` command."""
 
+import itertools
+
+import numpy as np
 import pytest
 
-from geoalign.checks import LOSS_NAMES, PARAM_GROUPS, GradientCheck, run_gradient_checks
+from geoalign.checks import LOSS_NAMES, PARAM_GROUPS, GradientCheck, _build_scenario, run_gradient_checks
+from geoalign.losses import partition_by_quantile
+from geoalign.structure_filter import FilterConfig
 
 
 class TestRunGradientChecks:
@@ -36,3 +41,19 @@ class TestRunGradientChecks:
         for eps in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="step size"):
                 run_gradient_checks(eps=eps)
+
+    def test_contrast_partition_matches_the_closed_form_mask(self):
+        # The default battery: base seed 0, the first 20 scenarios that build.
+        seeds = np.random.default_rng(0).integers(0, 2**31 - 1, size=80)
+        built = (_build_scenario(int(x), FilterConfig()) for x in seeds)
+        scenarios = list(itertools.islice((s for s in built if s is not None), 20))
+        assert len(scenarios) == 20
+        for scenario in scenarios:
+            geometry = scenario.geometries[0].mask_geometry
+            gain = float(scenario.params["gate_gain"])
+            bias = float(scenario.params["gate_bias"])
+            closed_form = 1.0 / (1.0 + np.exp(-(gain * geometry.consistency + bias)))
+            closed_form[geometry.partition.edge_mask] = 0.5
+            expected = partition_by_quantile(closed_form)
+            assert np.array_equal(scenario.contrast_partition.stable, expected.stable)
+            assert np.array_equal(scenario.contrast_partition.unstable, expected.unstable)

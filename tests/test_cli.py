@@ -5,6 +5,7 @@ import pytest
 
 from geoalign.cli import main
 from geoalign.formats import read_f64_raster, read_u8_raster, write_f64_raster, write_u8_raster
+from geoalign.structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry, structure_mask
 
 GROUND_ONLY = "ground 40.0\nraster 32 32\n"
 THREE_BOXES = """\
@@ -111,6 +112,24 @@ class TestMask:
         depth = self.synth_flat(tmp_path)
         assert main(["mask", depth, str(tmp_path / "m"), "--tau-q", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_outputs_match_structure_mask_and_mask_geometry(self, tmp_path):
+        spec = write_spec(tmp_path, THREE_BOXES)
+        main(["synth", spec, str(tmp_path / "scene"), "--view", "oblique"])
+        path = str(tmp_path / "scene" / "oblique.depth.geod")
+        prefix = str(tmp_path / "boxes")
+        assert main(["mask", path, prefix, "--alpha", "2", "--beta", "0.3", "--dilation", "3",
+                     "--tau-q", "0.7", "--k", "2", "--seed", "4"]) == 0
+        depth = DepthMap(read_f64_raster(path))
+        gate = GateParams(gain=2.0, bias=0.3)
+        cfg = FilterConfig(gradient_dilation=3, edge_quantile=0.7, clusters=2, cluster_seed=4)
+        expected = structure_mask(depth, *depth.shape, gate, cfg).values
+        assert read_f64_raster(prefix + ".mask.geod").tobytes() == expected.tobytes()
+        geometry = MaskGeometry.from_depth(depth, cfg)
+        row = (tmp_path / "boxes.stats.csv").read_text().splitlines()[1].split(",")
+        assert row[:6] == [repr(float(n)) for n in geometry.reference] + [
+            repr(geometry.partition.threshold), str(geometry.partition.n_edges),
+            str(geometry.partition.n_flat)]
 
 
 class TestEval:
@@ -243,6 +262,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["synth", "x", "y", "--view", "aerial"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mask", "--alpha", "nan"], "--alpha must be finite, got nan"),
+        (["mask", "--alpha", "inf"], "--alpha must be finite, got inf"),
+        (["mask", "--beta", "nan"], "--beta must be finite, got nan"),
+        (["mask", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["bench", "--scenes", "2", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["gradcheck", "--seed", "-3"], "--seed must be non-negative, got -3"),
+    ])
+    def test_unusable_flag_value_is_named(self, tmp_path, capsys, argv, message):
+        if argv[0] == "mask":
+            depth = str(tmp_path / "ramp.geod")
+            write_f64_raster(depth, np.add.outer(np.arange(8.0), np.arange(8.0)))
+            argv = ["mask", depth, str(tmp_path / "m")] + argv[1:]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not list(tmp_path.glob("m.*"))
 
 
 class TestDeterminism:

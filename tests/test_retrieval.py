@@ -72,7 +72,6 @@ class TestToyEncoder:
     def test_channel_counts(self):
         enc = ToyEncoder.seeded(channels=12)
         assert enc.channels == 12
-        assert enc.embedding_dim == 12
         assert ToyEncoder.seeded().channels == EMBEDDING_DIM
 
     def test_forward_shape_and_range(self):
@@ -277,9 +276,11 @@ class TestRunExperiment:
             built.append(seed)
             return facade_heavy_spec(seed)
 
-        with pytest.raises(ValueError, match="unknown arm 'extra'"):
-            run_experiment(n_scenes=3, arms=("base", "extra"), spec_fn=counting_spec)
-        assert built == []
+        for arms, message in ((("base", "extra"), "unknown arm 'extra'"),
+                              ((), "at least one arm")):
+            with pytest.raises(ValueError, match=message):
+                run_experiment(n_scenes=3, arms=arms, spec_fn=counting_spec)
+            assert built == []
 
     def test_each_arm_alone_reproduces_the_all_arm_report(self):
         every = run_experiment(n_scenes=4, seed=2, channels=16)
