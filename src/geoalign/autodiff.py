@@ -4,9 +4,9 @@ Everything is float64. A :class:`Tensor` wraps a numpy array; a :class:`Tape`
 records every differentiable operation in execution order and replays the
 record backward to populate gradients. Coverage is deliberately small: the
 set of operations the rest of this package actually differentiates through
-(convolution with replicate padding, adaptive average pooling, softmax,
-sigmoid, pointwise arithmetic, masked reductions, the stable softplus and a
-handful of shape utilities). Anything else stays plain numpy.
+(depthwise convolution with replicate padding, adaptive average pooling,
+softmax, sigmoid, pointwise arithmetic, masked reductions, the stable softplus
+and a handful of shape utilities). Anything else stays plain numpy.
 
 Conventions that the rest of the package relies on:
 
@@ -63,27 +63,6 @@ class Tensor:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"
 
-    # Small operator sugar; everything routes through the module-level ops so
-    # the tape sees a single code path.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), mul(self, -1.0))
-
 
 @dataclass
 class _Node:
@@ -133,16 +112,16 @@ class Tape:
                 tensor.grad = grads[key]
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Run the reverse pass for ``loss`` on ``tape`` (or the loss's own tape)."""
-    tape = tape if tape is not None else loss.tape
-    if tape is None:
-        raise ValueError("loss is not attached to any tape")
-    tape.backward(loss)
-
-
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _axis(t: Tensor, axis: int) -> int:
+    """``axis`` of ``t`` made non-negative; raises if it is out of range."""
+    axis = axis if axis >= 0 else axis + t.data.ndim
+    if not 0 <= axis < t.data.ndim:
+        raise ValueError(f"axis {axis} out of range for shape {t.shape}")
+    return axis
 
 
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
@@ -212,11 +191,15 @@ def absolute(t: Tensor) -> Tensor:
     return _emit((t,), np.abs(t.data), pullback)
 
 
+def _logistic(x: Array) -> Array:
+    """Stable in both tails: never exponentiates a positive number."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    # Stable in both tails: never exponentiates a positive number.
-    z = np.exp(-np.abs(t.data))
-    s = np.where(t.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    s = _logistic(t.data)
 
     def pullback(g):
         return (g * s * (1.0 - s),)
@@ -228,8 +211,7 @@ def log1p_exp(t: Tensor) -> Tensor:
     """log(1 + exp(x)), computed as logaddexp(0, x) so large x cannot overflow."""
     t = _as_tensor(t)
     out = np.logaddexp(0.0, t.data)
-    z = np.exp(-np.abs(t.data))
-    grad_sig = np.where(t.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    grad_sig = _logistic(t.data)
 
     def pullback(g):
         return (g * grad_sig,)
@@ -279,9 +261,7 @@ def masked_mean(t: Tensor, mask) -> Tensor:
 
 def mean_over_axis(t: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     t = _as_tensor(t)
-    axis = axis if axis >= 0 else axis + t.data.ndim
-    if not 0 <= axis < t.data.ndim:
-        raise ValueError(f"axis {axis} out of range for shape {t.shape}")
+    axis = _axis(t, axis)
     n = t.data.shape[axis]
     shape = t.data.shape
     out = t.data.mean(axis=axis, keepdims=keepdims)
@@ -311,10 +291,8 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 def select_index(t: Tensor, axis: int, index: int) -> Tensor:
     """Take one slice along ``axis`` (the axis is dropped)."""
     t = _as_tensor(t)
-    axis = axis if axis >= 0 else axis + t.data.ndim
+    axis = _axis(t, axis)
     shape = t.data.shape
-    if not 0 <= axis < t.data.ndim:
-        raise ValueError(f"axis {axis} out of range for shape {shape}")
     if not 0 <= index < shape[axis]:
         raise ValueError(f"index {index} out of range for axis {axis} of shape {shape}")
     out = np.take(t.data, index, axis=axis)
@@ -347,9 +325,7 @@ def masked_fill(t: Tensor, where, value: float) -> Tensor:
 def softmax_over_axis(t: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along one axis (max is always subtracted)."""
     t = _as_tensor(t)
-    axis = axis if axis >= 0 else axis + t.data.ndim
-    if not 0 <= axis < t.data.ndim:
-        raise ValueError(f"axis {axis} out of range for shape {t.shape}")
+    axis = _axis(t, axis)
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -366,21 +342,19 @@ def softmax_over_axis(t: Tensor, axis: int) -> Tensor:
 
 
 class Kernel2D:
-    """Square correlation stencil with integer dilation.
+    """Depthwise correlation stencil with integer dilation.
 
-    ``weights`` is either a shared ``(k, k)`` stencil applied to every channel
-    independently, or — with ``per_channel=True`` — a ``(C, k, k)`` stack
-    giving each channel its own stencil (a depthwise convolution). In both
-    modes the output keeps the input's channel count.
+    ``weights`` is a ``(C, k, k)`` stack: channel ``c`` of the input is
+    correlated with its own ``k x k`` stencil ``weights[c]``, so the output
+    keeps the input's channel count. One stencil for a one-channel map is a
+    ``(1, k, k)`` stack.
     """
 
-    def __init__(self, weights, dilation: int = 1, per_channel: bool = False):
-        w = weights if isinstance(weights, Tensor) else Tensor(weights)
-        expected = 3 if per_channel else 2
-        if w.data.ndim != expected:
+    def __init__(self, weights, dilation: int = 1):
+        w = _as_tensor(weights)
+        if w.data.ndim != 3:
             raise ValueError(
-                f"kernel weights must be {expected}-d "
-                f"(per_channel={per_channel}), got shape {w.shape}"
+                f"kernel weights must be a 3-d (C, k, k) stack, got shape {w.shape}"
             )
         k = w.data.shape[-1]
         if w.data.shape[-2] != k:
@@ -391,27 +365,17 @@ class Kernel2D:
             raise ValueError(f"dilation must be >= 1, got {dilation}")
         self.weights = w
         self.dilation = int(dilation)
-        self.per_channel = bool(per_channel)
 
     @property
     def size(self) -> int:
         return self.weights.data.shape[-1]
 
-    @property
-    def footprint(self) -> int:
-        """Effective receptive field: (k - 1) * dilation + 1."""
-        return (self.size - 1) * self.dilation + 1
-
     @staticmethod
-    def delta(size: int = 3, channels: int | None = None,
-              dilation: int = 1) -> "Kernel2D":
-        """Identity stencil: a one at the center, zeros elsewhere."""
-        w = np.zeros((size, size))
-        w[size // 2, size // 2] = 1.0
-        if channels is None:
-            return Kernel2D(w, dilation=dilation)
-        return Kernel2D(np.tile(w, (channels, 1, 1)), dilation=dilation,
-                        per_channel=True)
+    def delta(size: int = 3, channels: int = 1, dilation: int = 1) -> "Kernel2D":
+        """Identity stencils: a one at each channel's center, zeros elsewhere."""
+        w = np.zeros((channels, size, size))
+        w[:, size // 2, size // 2] = 1.0
+        return Kernel2D(w, dilation=dilation)
 
 
 def _fold_replicate(gp: Array, pad: int, h: int, w: int) -> Array:
@@ -426,7 +390,7 @@ def _fold_replicate(gp: Array, pad: int, h: int, w: int) -> Array:
 
 
 def conv2d(t: Tensor, kernel: Kernel2D, padding: str = "replicate") -> Tensor:
-    """Dilated cross-correlation over B x C x H x W with clamp-to-edge borders."""
+    """Dilated depthwise cross-correlation over B x C x H x W, clamp-to-edge borders."""
     if padding != "replicate":
         raise ValueError(f"only replicate padding is supported, got {padding!r}")
     t = _as_tensor(t)
@@ -434,7 +398,7 @@ def conv2d(t: Tensor, kernel: Kernel2D, padding: str = "replicate") -> Tensor:
         raise ValueError(f"conv2d expects a 4-d tensor, got shape {t.shape}")
     b, c, h, w = t.data.shape
     kw = kernel.weights
-    if kernel.per_channel and kw.data.shape[0] != c:
+    if kw.data.shape[0] != c:
         raise ValueError(
             f"depthwise kernel carries {kw.data.shape[0]} channel stencils "
             f"but the input has {c} channels (shapes {kw.shape} vs {t.shape})"
@@ -446,27 +410,21 @@ def conv2d(t: Tensor, kernel: Kernel2D, padding: str = "replicate") -> Tensor:
     def tap(u: int, v: int) -> Array:
         return xp[:, :, u * d:u * d + h, v * d:v * d + w]
 
+    def coeff(u: int, v: int) -> Array:
+        return kw.data[:, u, v].reshape(1, c, 1, 1)
+
     out = np.zeros((b, c, h, w))
     for u in range(k):
         for v in range(k):
-            coeff = kw.data[:, u, v].reshape(1, c, 1, 1) if kernel.per_channel \
-                else kw.data[u, v]
-            out += coeff * tap(u, v)
-
-    per_channel = kernel.per_channel
+            out += coeff(u, v) * tap(u, v)
 
     def pullback(g):
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(kw.data)
         for u in range(k):
             for v in range(k):
-                if per_channel:
-                    coeff = kw.data[:, u, v].reshape(1, c, 1, 1)
-                    gw[:, u, v] = np.einsum("bchw,bchw->c", g, tap(u, v))
-                else:
-                    coeff = kw.data[u, v]
-                    gw[u, v] = float((g * tap(u, v)).sum())
-                gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff * g
+                gw[:, u, v] = np.einsum("bchw,bchw->c", g, tap(u, v))
+                gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff(u, v) * g
         return _fold_replicate(gxp, pad, h, w), gw
 
     return _emit((t, kw), out, pullback)

@@ -134,8 +134,8 @@ def _build_scenario(seed: int, config: FilterConfig) -> _Scenario | None:
 
 def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     fusion = FusionParams(
-        mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION, per_channel=True),
-        far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION, per_channel=True),
+        mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
+        far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION),
         head_weights=_as_tensor(params["head_weights"]),
         head_bias=_as_tensor(params["head_bias"]),
     )

@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .checks import run_gradient_checks
 from .formats import (
     RasterFormatError,
@@ -99,7 +101,12 @@ def cmd_mask(args) -> int:
     )
     # The raster is already at its own resolution, so there is nothing to pool.
     geometry = MaskGeometry.from_depth(depth, config)
-    values = geometry.mask(GateParams(gain=args.alpha, bias=args.beta)).values
+    try:
+        with np.errstate(over="ignore"):
+            values = geometry.mask(GateParams(gain=args.alpha, bias=args.beta)).values
+    except ValueError as exc:
+        raise ValueError(f"--alpha {args.alpha} and --beta {args.beta} "
+                         f"saturate the mask gate ({exc})") from None
     write_f64_raster(f"{args.out_prefix}.mask.geod", values)
     write_mask_pgm(f"{args.out_prefix}.mask.pgm", values)
     header = "n_dom_x,n_dom_y,n_dom_z,tau_grad,n_edges,n_flat,mask_mean,mask_min,mask_max"

@@ -192,9 +192,21 @@ def _parse_ints(parts: list[str], n: int, line: int, key: str) -> list[int]:
     return out
 
 
+# Singleton spec directives: name -> (SceneSpec field, value parser, count).
+# An absent directive leaves the field at its SceneSpec default.
+_DIRECTIVES = {
+    "ground": ("ground_depth", _parse_floats, 1),
+    "slope": ("oblique_slope", _parse_floats, 2),
+    "raster": ("raster", _parse_ints, 2),
+    "noise": ("noise_sigma", _parse_floats, 1),
+    "seed": ("rng_seed", _parse_ints, 1),
+    "edge-band": ("edge_band", _parse_ints, 1),
+}
+
+
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse the line-oriented scene format; see the module docstring."""
-    scalars: dict[str, object] = {}
+    fields: dict[str, object] = {}
     boxes: list[Box] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,33 +226,16 @@ def parse_scene_spec(text: str) -> SceneSpec:
             except ValueError as exc:
                 raise SpecFormatError(str(exc), line_no) from None
             continue
-        if key in scalars:
-            raise SpecFormatError(f"duplicate `{key}` line", line_no)
-        if key == "ground":
-            scalars[key] = _parse_floats(parts, 1, line_no, key)[0]
-        elif key == "slope":
-            scalars[key] = tuple(_parse_floats(parts, 2, line_no, key))
-        elif key == "noise":
-            scalars[key] = _parse_floats(parts, 1, line_no, key)[0]
-        elif key == "seed":
-            scalars[key] = _parse_ints(parts, 1, line_no, key)[0]
-        elif key == "raster":
-            scalars[key] = tuple(_parse_ints(parts, 2, line_no, key))
-        elif key == "edge-band":
-            scalars[key] = _parse_ints(parts, 1, line_no, key)[0]
-        else:
+        if key not in _DIRECTIVES:
             raise SpecFormatError(f"unknown directive {key!r}", line_no)
-    if "ground" not in scalars:
+        field, parse, count = _DIRECTIVES[key]
+        if field in fields:
+            raise SpecFormatError(f"duplicate `{key}` line", line_no)
+        values = parse(parts, count, line_no, key)
+        fields[field] = values[0] if count == 1 else tuple(values)
+    if "ground_depth" not in fields:
         raise SpecFormatError("missing required `ground` line")
-    return SceneSpec(
-        ground_depth=scalars["ground"],
-        boxes=tuple(boxes),
-        oblique_slope=scalars.get("slope", (0.0, 0.0)),
-        raster=scalars.get("raster", (64, 64)),
-        noise_sigma=scalars.get("noise", 0.0),
-        rng_seed=scalars.get("seed", 0),
-        edge_band=scalars.get("edge-band", 2),
-    )
+    return SceneSpec(boxes=tuple(boxes), **fields)
 
 
 def serialize_scene_spec(spec: SceneSpec) -> str:

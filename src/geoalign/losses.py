@@ -132,8 +132,6 @@ def aggregate_activation(activation: Tensor,
 
 def contrast_hinge(v_stable, v_unstable, margin: float = 0.5) -> Tensor:
     """max(0, margin + v_unstable - v_stable)."""
-    v_stable = v_stable if isinstance(v_stable, Tensor) else Tensor(v_stable)
-    v_unstable = v_unstable if isinstance(v_unstable, Tensor) else Tensor(v_unstable)
     return relu(add(add(Tensor(float(margin)), v_unstable), mul(v_stable, -1.0)))
 
 

@@ -93,9 +93,9 @@ class ToyEncoder:
             if unknown:
                 raise ValueError(f"unknown encoder parameters: {sorted(unknown)}")
             p.update(overrides)
-        y = conv2d(x, Kernel2D(p["dw1"], per_channel=True))
+        y = conv2d(x, Kernel2D(p["dw1"]))
         y = sigmoid(channel_project(y, p["pw1"], p["b1"]))
-        y = conv2d(y, Kernel2D(p["dw2"], per_channel=True))
+        y = conv2d(y, Kernel2D(p["dw2"]))
         y = sigmoid(channel_project(y, p["pw2"], p["b2"]))
         return y
 

@@ -135,8 +135,8 @@ class FusionParams:
         kernel = np.full((channels, 3, 3), mix / 9.0)
         kernel[:, 1, 1] += 1.0 - mix
         return cls(
-            mid_kernel=Kernel2D(kernel.copy(), dilation=MID_DILATION, per_channel=True),
-            far_kernel=Kernel2D(kernel.copy(), dilation=FAR_DILATION, per_channel=True),
+            mid_kernel=Kernel2D(kernel.copy(), dilation=MID_DILATION),
+            far_kernel=Kernel2D(kernel.copy(), dilation=FAR_DILATION),
             head_weights=Tensor(rng.normal(0.0, 0.1, (3, depth_channels))),
             head_bias=Tensor(np.zeros(3)),
         )

@@ -181,8 +181,8 @@ def macro_gradient(depth: DepthMap, dilation: int = 2) -> tuple[Array, Array]:
         )
     t = Tensor(depth.values[None, None])
     scale = 1.0 / (8.0 * dilation)
-    gx = conv2d(t, Kernel2D(SOBEL_X * scale, dilation=dilation)).data[0, 0]
-    gy = conv2d(t, Kernel2D(SOBEL_Y * scale, dilation=dilation)).data[0, 0]
+    gx = conv2d(t, Kernel2D(SOBEL_X[None] * scale, dilation=dilation)).data[0, 0]
+    gy = conv2d(t, Kernel2D(SOBEL_Y[None] * scale, dilation=dilation)).data[0, 0]
     return gx, gy
 
 
@@ -294,8 +294,7 @@ def normal_consistency(field: NormalField, reference: Array) -> Array:
 
 def adaptive_gate(consistency, gate: GateParams = GateParams()) -> Tensor:
     """Squash consistency through sigma(gain * c + bias)."""
-    c = consistency if isinstance(consistency, Tensor) else Tensor(consistency)
-    return sigmoid(add(mul(c, gate.gain), gate.bias))
+    return sigmoid(add(mul(consistency, gate.gain), gate.bias))
 
 
 def rectify_edges(raw_mask: Tensor, partition: EdgePartition) -> GeoMask:

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour: rendering, masking, scoring, checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -270,13 +272,23 @@ class TestUsageErrors:
         (["mask", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["bench", "--scenes", "2", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["gradcheck", "--seed", "-3"], "--seed must be non-negative, got -3"),
+        # Finite gate flags whose gain * c + bias overflows, or whose sigmoid
+        # rounds to exactly 1.0 on the ramp's fully consistent pixels.
+        (["mask", "--alpha", "1e308", "--beta", "1e308"],
+         "--alpha 1e+308 and --beta 1e+308 saturate the mask gate "
+         "(tensor data must be finite)"),
+        (["mask", "--alpha", "40"],
+         "--alpha 40.0 and --beta -2.5 saturate the mask gate "
+         "(mask values must lie strictly inside (0, 1))"),
     ])
     def test_unusable_flag_value_is_named(self, tmp_path, capsys, argv, message):
         if argv[0] == "mask":
             depth = str(tmp_path / "ramp.geod")
             write_f64_raster(depth, np.add.outer(np.arange(8.0), np.arange(8.0)))
             argv = ["mask", depth, str(tmp_path / "m")] + argv[1:]
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a NumPy overflow RuntimeWarning
+            assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -80,7 +80,7 @@ class TestScaleBranches:
         stencil = np.zeros((2, 3, 3))
         stencil[:, 1] = [1.0, 2.0, -3.0]
         params = FusionParams(
-            mid_kernel=Kernel2D(stencil, dilation=MID_DILATION, per_channel=True),
+            mid_kernel=Kernel2D(stencil, dilation=MID_DILATION),
             far_kernel=Kernel2D.delta(3, 2, dilation=FAR_DILATION),
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor(np.zeros(3)),
@@ -94,7 +94,7 @@ class TestScaleBranches:
         f = Tensor(np.tile(slope * cols, (1, 2, 12, 1)).reshape(1, 2, 12, 12))
         stencil = np.tile(SOBEL_X / (8.0 * MID_DILATION), (2, 1, 1))
         params = FusionParams(
-            mid_kernel=Kernel2D(stencil, dilation=MID_DILATION, per_channel=True),
+            mid_kernel=Kernel2D(stencil, dilation=MID_DILATION),
             far_kernel=Kernel2D.delta(3, 2, dilation=FAR_DILATION),
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor(np.zeros(3)),
@@ -243,10 +243,8 @@ class TestFuse:
         kernel = np.full((2, 3, 3), 0.4 / 9.0)
         kernel[:, 1, 1] += 0.6
         params = FusionParams(
-            mid_kernel=Kernel2D(tape.leaf(kernel), dilation=MID_DILATION,
-                                per_channel=True),
-            far_kernel=Kernel2D(tape.leaf(kernel.copy()), dilation=FAR_DILATION,
-                                per_channel=True),
+            mid_kernel=Kernel2D(tape.leaf(kernel), dilation=MID_DILATION),
+            far_kernel=Kernel2D(tape.leaf(kernel.copy()), dilation=FAR_DILATION),
             head_weights=tape.leaf(rng.normal(0, 0.1, (3, 3))),
             head_bias=tape.leaf(np.zeros(3)),
         )
