@@ -223,7 +223,14 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
                     arr = base.copy()
                     arr.flat[int(idx)] += sign * eps
                     shifted[group] = arr
-                    values = _losses(shifted, scenario)
+                    # A step that overflows the forward pass surfaces as a
+                    # non-finite tensor or a degenerate value: name the step.
+                    try:
+                        with np.errstate(over="ignore"):
+                            values = _losses(shifted, scenario)
+                    except ValueError as exc:
+                        raise ValueError(f"step size {eps} is too large for the "
+                                         f"{group} probes ({exc})") from None
                     probes[sign] = {name: float(values[name].data)
                                     for name in LOSS_NAMES}
                 for loss_name in LOSS_NAMES:

@@ -142,7 +142,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rows = run_gradient_checks(base_seed=args.seed, eps=args.eps)
+    try:
+        rows = run_gradient_checks(base_seed=args.seed, eps=args.eps)
+    except ValueError as exc:
+        raise ValueError(f"--eps: {exc}") from None
     print(f"{'group':<14}{'loss':<10}{'max_rel_err':>14}  status")
     offenders = []
     for row in rows:

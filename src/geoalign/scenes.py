@@ -80,6 +80,10 @@ class SceneSpec:
         h, w = self.raster
         if h < 4 or w < 4:
             raise ValueError(f"raster too small: {self.raster}")
+        sx, sy = self.oblique_slope
+        if not math.isfinite(abs(self.ground_depth) + abs(sx) * (w - 1) + abs(sy) * (h - 1)):
+            raise ValueError(f"slope {sx} {sy} tilts the ground plane past the float64 "
+                             f"range on the {w}x{h} raster")
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         if self.edge_band < 1:

@@ -237,6 +237,15 @@ def cluster_normals(points: Array, k: int, seed: int,
     Returns ``(centroids, labels, counts)``. Assignment ties go to the lowest
     cluster index; a cluster that empties keeps its previous centroid. The
     whole routine is bit-deterministic for fixed inputs and seed.
+
+    Each step works on the points' coordinate columns, with no ``(N, k, 3)``
+    temporary: row ``m`` of a reused ``(k, N)`` distance buffer is
+    ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left to right, and each centroid
+    coordinate is a ``bincount``-weighted sum in point order over the member
+    count. Every distance and centroid is therefore the same float as the
+    broadcast form's axis sum and member mean. (The expanded form
+    ``|x|² - 2x·c + |c|²`` is not: it rounds differently and can flip an
+    assignment on a near-tie.)
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -244,14 +253,21 @@ def cluster_normals(points: Array, k: int, seed: int,
         raise ValueError(f"cannot form {k} clusters from {n} points")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp(points, k, rng)
+    columns = [np.ascontiguousarray(column) for column in points.T]
+    d2 = np.empty((k, n))
+    term = np.empty(n)
     labels = np.zeros(n, dtype=int)
     for _ in range(iters):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        for m in range(k):
-            members = points[new_labels == m]
-            if len(members):
-                centroids[m] = members.mean(axis=0)
+        for m, centroid in enumerate(centroids):
+            row = d2[m]
+            np.square(np.subtract(columns[0], centroid[0], out=row), out=row)
+            for column, c in zip(columns[1:], centroid[1:]):
+                row += np.square(np.subtract(column, c, out=term), out=term)
+        new_labels = np.argmin(d2, axis=0)
+        sizes = np.bincount(new_labels, minlength=k)
+        for j, column in enumerate(columns):
+            np.divide(np.bincount(new_labels, weights=column, minlength=k), sizes,
+                      out=centroids[:, j], where=sizes > 0)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break

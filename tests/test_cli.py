@@ -280,6 +280,10 @@ class TestUsageErrors:
         (["mask", "--alpha", "40"],
          "--alpha 40.0 and --beta -2.5 saturate the mask gate "
          "(mask values must lie strictly inside (0, 1))"),
+        # A finite step whose shifted parameters overflow the forward pass.
+        (["gradcheck", "--eps", "1e300"],
+         "--eps: step size 1e+300 is too large for the mid_kernel probes "
+         "(anchor must be unit length, got norm 0.0)"),
     ])
     def test_unusable_flag_value_is_named(self, tmp_path, capsys, argv, message):
         if argv[0] == "mask":
@@ -293,6 +297,18 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not list(tmp_path.glob("m.*"))
+
+    def test_slope_whose_tilt_overflows_is_named(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "ground 10\nslope 1e308 1e308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a NumPy overflow RuntimeWarning
+            assert main(["synth", spec, str(out), "--view", "oblique"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: slope 1e+308 1e+308 tilts the ground plane "
+                                "past the float64 range on the 64x64 raster\n")
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -61,6 +61,10 @@ class TestSpecValidation:
             SceneSpec(10.0, (), noise_sigma=-0.1)
         with pytest.raises(ValueError, match="edge band"):
             SceneSpec(10.0, (), edge_band=0)
+        with pytest.raises(ValueError, match="slope 1e\\+308 0.0 tilts the ground plane"):
+            SceneSpec(10.0, (), oblique_slope=(1e308, 0.0))
+        with pytest.raises(ValueError, match="on the 64x4 raster"):
+            SceneSpec(1e308, (), oblique_slope=(0.0, -1e308), raster=(4, 64))
 
     def test_label_map_validation(self):
         with pytest.raises(ValueError, match="2-d"):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoalign.autodiff import Tape, Tensor, mean_all, mul
 from geoalign.structure_filter import (
@@ -17,6 +19,7 @@ from geoalign.structure_filter import (
     GateParams,
     GeoMask,
     NormalField,
+    _kmeans_pp,
     adaptive_gate,
     align_depth,
     cluster_normals,
@@ -210,6 +213,66 @@ class TestClustering:
     def test_rejects_fewer_points_than_clusters(self):
         with pytest.raises(ValueError, match="clusters"):
             cluster_normals(np.zeros((2, 3)), 3, seed=0)
+
+
+def broadcast_lloyd(points, k, seed, iters=50):
+    """The Lloyd loop as an ``(N, k, 3)`` broadcast with a per-cluster member
+    mean: the reference the column-wise step must reproduce bit for bit."""
+    centroids = _kmeans_pp(points, k, np.random.default_rng(seed))
+    labels = np.zeros(len(points), dtype=int)
+    for _ in range(iters):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for m in range(k):
+            members = points[new_labels == m]
+            if len(members):
+                centroids[m] = members.mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return centroids, labels, np.bincount(labels, minlength=k)
+
+
+def grid_points(k, extra, distinct, jitter, data_seed):
+    """``k + extra`` points drawn from ``distinct`` sites of a coarse decimal
+    grid: exact duplicates and near-equal distances. ``jitter`` moves every
+    second point off its site."""
+    rng = np.random.default_rng(data_seed)
+    sites = rng.integers(-5, 6, size=(distinct, 3)) / 10.0
+    points = sites[rng.integers(0, distinct, size=k + extra)]
+    if jitter:
+        points[::2] += rng.normal(0.0, 0.05, size=points[::2].shape)
+    return points
+
+
+# Two sites for three clusters: the third k-means++ seed duplicates one of the
+# sites, loses every tie to the lower index and stays empty.
+EMPTIED = dict(k=3, seed=0, extra=5, distinct=2, jitter=False, data_seed=0)
+
+
+class TestClusteringProperty:
+    """The column-wise Lloyd step against the broadcast reference."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(k=st.integers(1, 7), seed=st.integers(0, 9), extra=st.integers(0, 200),
+           distinct=st.integers(1, 12), jitter=st.booleans(),
+           data_seed=st.integers(0, 2**32 - 1))
+    @example(**EMPTIED)
+    def test_matches_broadcast_lloyd_bit_for_bit(self, k, seed, extra, distinct,
+                                                 jitter, data_seed):
+        points = grid_points(k, extra, distinct, jitter, data_seed)
+        got = cluster_normals(points, k, seed)
+        want = broadcast_lloyd(points, k, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_explicit_example_empties_a_cluster(self):
+        e = EMPTIED
+        points = grid_points(e["k"], e["extra"], e["distinct"], e["jitter"], e["data_seed"])
+        _, _, counts = broadcast_lloyd(points, e["k"], e["seed"])
+        assert 0 in counts.tolist()
 
 
 class TestDominantNormal:
