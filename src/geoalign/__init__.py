@@ -8,143 +8,8 @@ procedural scene generator that doubles as a test oracle, and a miniature
 cross-view retrieval experiment, all wired to a deterministic CLI.
 """
 
-from .autodiff import (
-    Kernel2D,
-    Tape,
-    Tensor,
-    adaptive_avg_pool,
-    channel_project,
-    conv2d,
-    l2_normalize,
-    sigmoid,
-    softmax_over_axis,
-)
-from .checks import GradientCheck, run_gradient_checks
-from .losses import (
-    ActivationPartition,
-    ContrastReport,
-    EmptyPartitionError,
-    LossWeights,
-    activation_contrast_loss,
-    partition_by_quantile,
-    soft_margin_triplet,
-    total_loss,
-)
-from .retrieval import (
-    ARM_FILTER_CONFIG,
-    ARMS,
-    EMBEDDING_DIM,
-    RetrievalReport,
-    ToyEncoder,
-    arm_components,
-    detrend_depth,
-    embed,
-    mean_average_precision,
-    rank_gallery,
-    recall_at_k,
-    run_experiment,
-    true_rank,
-)
-from .scale_fusion import (
-    FusionParams,
-    ScaleBranches,
-    ScaleWeights,
-    depth_feature_stack,
-    fuse,
-    scale_branches,
-    scale_weights,
-)
-from .scenes import (
-    Box,
-    Label,
-    LabelMap,
-    NotEvaluableError,
-    SceneSpec,
-    class_mask_means,
-    facade_heavy_spec,
-    facade_width,
-    mask_quality,
-    pool_labels,
-    render_oblique,
-    render_ortho,
-)
-from .structure_filter import (
-    DepthMap,
-    EdgePartition,
-    FilterConfig,
-    GateParams,
-    GeoMask,
-    NormalField,
-    compute_normals,
-    dominant_normal,
-    macro_gradient,
-    modulate,
-    structure_mask,
-)
+# Importing the package loads every module; the API lives in the submodules.
+from . import autodiff, checks, cli, formats, losses, retrieval, scale_fusion, scenes, structure_filter
+from .autodiff import Tensor
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "ARMS",
-    "ARM_FILTER_CONFIG",
-    "EMBEDDING_DIM",
-    "ActivationPartition",
-    "Box",
-    "ContrastReport",
-    "DepthMap",
-    "EdgePartition",
-    "EmptyPartitionError",
-    "FilterConfig",
-    "FusionParams",
-    "GateParams",
-    "GeoMask",
-    "GradientCheck",
-    "Kernel2D",
-    "Label",
-    "LabelMap",
-    "LossWeights",
-    "NormalField",
-    "NotEvaluableError",
-    "RetrievalReport",
-    "SceneSpec",
-    "ScaleBranches",
-    "ScaleWeights",
-    "Tape",
-    "Tensor",
-    "ToyEncoder",
-    "activation_contrast_loss",
-    "adaptive_avg_pool",
-    "arm_components",
-    "channel_project",
-    "class_mask_means",
-    "compute_normals",
-    "conv2d",
-    "depth_feature_stack",
-    "detrend_depth",
-    "dominant_normal",
-    "embed",
-    "facade_heavy_spec",
-    "facade_width",
-    "fuse",
-    "l2_normalize",
-    "macro_gradient",
-    "mask_quality",
-    "mean_average_precision",
-    "modulate",
-    "partition_by_quantile",
-    "pool_labels",
-    "rank_gallery",
-    "recall_at_k",
-    "render_oblique",
-    "render_ortho",
-    "run_experiment",
-    "run_gradient_checks",
-    "scale_branches",
-    "scale_weights",
-    "sigmoid",
-    "soft_margin_triplet",
-    "softmax_over_axis",
-    "structure_mask",
-    "total_loss",
-    "true_rank",
-]
+__all__ = ["Tensor"]

@@ -46,14 +46,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a one-element tensor, got shape {self.shape}")
@@ -233,17 +225,6 @@ def sum_all(t: Tensor) -> Tensor:
     return _emit((t,), np.asarray(t.data.sum()), pullback)
 
 
-def mean_all(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    shape = t.data.shape
-    n = t.data.size
-
-    def pullback(g):
-        return (np.broadcast_to(g / n, shape).copy(),)
-
-    return _emit((t,), np.asarray(t.data.mean()), pullback)
-
-
 def masked_mean(t: Tensor, mask) -> Tensor:
     """Mean of the entries selected by a boolean mask (broadcast to t's shape)."""
     t = _as_tensor(t)
@@ -259,16 +240,15 @@ def masked_mean(t: Tensor, mask) -> Tensor:
     return _emit((t,), out, pullback)
 
 
-def mean_over_axis(t: Tensor, axis: int, keepdims: bool = True) -> Tensor:
+def mean_over_axis(t: Tensor, axis: int) -> Tensor:
+    """Mean along one axis, which is kept with length one."""
     t = _as_tensor(t)
     axis = _axis(t, axis)
     n = t.data.shape[axis]
     shape = t.data.shape
-    out = t.data.mean(axis=axis, keepdims=keepdims)
+    out = t.data.mean(axis=axis, keepdims=True)
 
     def pullback(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / n, shape).copy(),)
 
     return _emit((t,), out, pullback)
@@ -370,13 +350,6 @@ class Kernel2D:
     def size(self) -> int:
         return self.weights.data.shape[-1]
 
-    @staticmethod
-    def delta(size: int = 3, channels: int = 1, dilation: int = 1) -> "Kernel2D":
-        """Identity stencils: a one at each channel's center, zeros elsewhere."""
-        w = np.zeros((channels, size, size))
-        w[:, size // 2, size // 2] = 1.0
-        return Kernel2D(w, dilation=dilation)
-
 
 def _fold_replicate(gp: Array, pad: int, h: int, w: int) -> Array:
     """Adjoint of replicate padding: collapse border rows/cols onto the edge."""
@@ -389,10 +362,8 @@ def _fold_replicate(gp: Array, pad: int, h: int, w: int) -> Array:
     return core
 
 
-def conv2d(t: Tensor, kernel: Kernel2D, padding: str = "replicate") -> Tensor:
+def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
     """Dilated depthwise cross-correlation over B x C x H x W, clamp-to-edge borders."""
-    if padding != "replicate":
-        raise ValueError(f"only replicate padding is supported, got {padding!r}")
     t = _as_tensor(t)
     if t.data.ndim != 4:
         raise ValueError(f"conv2d expects a 4-d tensor, got shape {t.shape}")

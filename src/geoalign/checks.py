@@ -55,7 +55,7 @@ from .scale_fusion import (
     scale_weights,
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import FilterConfig, GateParams, MaskGeometry, align_depth, modulate
+from .structure_filter import GateParams, MaskGeometry, align_depth, modulate
 
 LOSS_NAMES = ("contrast", "triplet", "total")
 PARAM_GROUPS = (
@@ -99,13 +99,13 @@ class _Scenario:
     weights: LossWeights
 
 
-def _build_scenario(seed: int, config: FilterConfig) -> _Scenario | None:
+def _build_scenario(seed: int) -> _Scenario | None:
     rng = np.random.default_rng(seed)
     seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
     spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
     geometries = tuple(
         _Geometry(standardize_stack(depth_feature_stack(depth, *_GRID)),
-                  MaskGeometry.from_depth(align_depth(depth, *_GRID), config))
+                  MaskGeometry.from_depth(align_depth(depth, *_GRID)))
         for depth in (render_oblique(spec_a)[0], render_ortho(spec_a)[0], render_ortho(spec_b)[0]))
     encoder = ToyEncoder.seeded(seed, channels=_CHANNELS)
     params = {
@@ -197,7 +197,6 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
         raise ValueError("need at least one seed")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"step size must be positive and finite, got {eps}")
-    config = FilterConfig()
     worst = {(g, l): 0.0 for g in PARAM_GROUPS for l in LOSS_NAMES}
     evals = {(g, l): 0 for g in PARAM_GROUPS for l in LOSS_NAMES}
     seed_rng = np.random.default_rng(base_seed)
@@ -206,7 +205,7 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
     for raw_seed in scenario_seeds:
         if built == n_seeds:
             break
-        scenario = _build_scenario(int(raw_seed), config)
+        scenario = _build_scenario(int(raw_seed))
         if scenario is None:
             continue
         built += 1

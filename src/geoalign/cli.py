@@ -19,8 +19,6 @@ import numpy as np
 
 from .checks import run_gradient_checks
 from .formats import (
-    RasterFormatError,
-    SpecFormatError,
     atomic_write_bytes,
     atomic_write_text,
     parse_scene_spec,
@@ -125,6 +123,10 @@ def cmd_mask(args) -> int:
 
 def cmd_eval(args) -> int:
     mask = read_f64_raster(args.mask_file)
+    valid = (mask >= 0.0) & (mask <= 1.0)
+    if not valid.all():
+        raise ValueError(f"mask {args.mask_file} must hold finite values in [0, 1], "
+                         f"got {float(mask[~valid][0])}")
     labels = LabelMap(read_u8_raster(args.label_file))
     try:
         accuracy = mask_quality(mask, labels)
@@ -278,9 +280,6 @@ def main(argv=None) -> int:
     except NotEvaluableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RasterFormatError, SpecFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -236,19 +236,3 @@ def parse_scene_spec(text: str) -> SceneSpec:
     if "ground_depth" not in fields:
         raise SpecFormatError("missing required `ground` line")
     return SceneSpec(boxes=tuple(boxes), **fields)
-
-
-def serialize_scene_spec(spec: SceneSpec) -> str:
-    """Canonical text for a scene; ``parse_scene_spec`` round-trips it."""
-    lines = [
-        f"ground {spec.ground_depth!r}",
-        f"slope {spec.oblique_slope[0]!r} {spec.oblique_slope[1]!r}",
-        f"raster {spec.raster[0]} {spec.raster[1]}",
-        f"noise {spec.noise_sigma!r}",
-        f"seed {spec.rng_seed}",
-        f"edge-band {spec.edge_band}",
-    ]
-    lines.extend(
-        f"box {b.x} {b.y} {b.w} {b.h} {b.height!r}" for b in spec.boxes
-    )
-    return "\n".join(lines) + "\n"

@@ -34,14 +34,20 @@ from .autodiff import (
     reshape,
     sigmoid,
 )
-from .scale_fusion import FusionParams, depth_feature_stack, fuse, scale_branches, scale_weights
+from .scale_fusion import (
+    DEPTH_CHANNELS,
+    FusionParams,
+    depth_feature_stack,
+    fuse,
+    scale_branches,
+    scale_weights,
+)
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
 from .structure_filter import DepthMap, FilterConfig, GateParams, modulate, structure_mask
 
 ARMS = ("base", "mgsa", "mgsf", "full")
 FEATURE_GRID = (16, 16)
 EMBEDDING_DIM = 64
-DEPTH_CHANNELS = 3
 
 # Mask settings for the coarse feature grid: pooling to 16x16 already smears
 # depth breaks across neighbouring cells, so the gradient stencil stays
@@ -130,9 +136,6 @@ def embed(
     encoder: ToyEncoder,
     fusion: FusionParams | None = None,
     gate: GateParams | None = None,
-    config: FilterConfig | None = None,
-    grid: tuple[int, int] = FEATURE_GRID,
-    overrides: Mapping[str, Tensor] | None = None,
 ) -> Tensor:
     """Unit-norm embedding of one depth map.
 
@@ -144,24 +147,23 @@ def embed(
     detrended one.
     """
     parts = (fusion is not None, gate is not None)
-    return embed_arms(depth, encoder, [parts], fusion, gate, config, grid, overrides)[0]
+    return embed_arms(depth, encoder, [parts], fusion, gate)[0]
 
 
 def embed_arms(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
-               fusion: FusionParams | None = None, gate: GateParams | None = None,
-               config: FilterConfig | None = None, grid: tuple[int, int] = FEATURE_GRID,
-               overrides: Mapping[str, Tensor] | None = None) -> list[Tensor]:
+               fusion: FusionParams | None = None,
+               gate: GateParams | None = None) -> list[Tensor]:
     """``embed`` for each (uses fusion, uses mask) pair in ``arm_parts``.
 
     The encoder, the fusion and the mask each run at most once for all pairs;
     only the modulation, pooling and normalization run per pair.
     """
-    stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *grid)))
-    plain = encoder.forward(stack, overrides)
+    stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *FEATURE_GRID)))
+    plain = encoder.forward(stack)
     if any(fused for fused, _ in arm_parts):
         fused_features = fuse(plain, scale_branches(plain, fusion), scale_weights(stack, fusion))
     if any(masked for _, masked in arm_parts):
-        mask = structure_mask(depth, *grid, gate, config or ARM_FILTER_CONFIG)
+        mask = structure_mask(depth, *FEATURE_GRID, gate, ARM_FILTER_CONFIG)
     embeddings = []
     for fused, masked in arm_parts:
         features = fused_features if fused else plain
@@ -219,21 +221,11 @@ def _arm_parts(arm: str) -> tuple[bool, bool]:
     return arm in ("mgsa", "full"), arm in ("mgsf", "full")
 
 
-def arm_components(
-    arm: str, channels: int = EMBEDDING_DIM, seed: int = 0
-) -> tuple[FusionParams | None, GateParams | None]:
-    fused, masked = _arm_parts(arm)
-    fusion = FusionParams.smoothing(channels, seed=seed) if fused else None
-    gate = GateParams() if masked else None
-    return fusion, gate
-
-
 def run_experiment(
     n_scenes: int = 50,
     seed: int = 0,
     arms: tuple[str, ...] = ARMS,
     channels: int = EMBEDDING_DIM,
-    grid: tuple[int, int] = FEATURE_GRID,
     spec_fn=facade_heavy_spec,
 ) -> dict[str, RetrievalReport]:
     """Render paired views of seeded scenes and score each arm.
@@ -255,9 +247,9 @@ def run_experiment(
     gallery_depths = [render_ortho(spec)[0] for spec in specs]
     query_depths = [render_oblique(spec)[0] for spec in specs]
     encoder = ToyEncoder.seeded(seed=seed, channels=channels)
-    fusion, gate = arm_components("full", channels=channels, seed=seed)
+    fusion, gate = FusionParams.smoothing(channels, seed=seed), GateParams()
     gallery_rows, query_rows = (
-        [embed_arms(d, encoder, arm_parts, fusion, gate, grid=grid) for d in depths]
+        [embed_arms(d, encoder, arm_parts, fusion, gate) for d in depths]
         for depths in (gallery_depths, query_depths))
     reports: dict[str, RetrievalReport] = {}
     for k, arm in enumerate(arms):

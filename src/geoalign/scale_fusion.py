@@ -107,22 +107,10 @@ class FusionParams:
     def depth_channels(self) -> int:
         return self.head_weights.data.shape[1]
 
-    @classmethod
-    def identity(cls, channels: int, depth_channels: int = 3) -> "FusionParams":
-        """Delta stencils and a zeroed head: fuse() doubles the input to
-        within float round-off."""
-        return cls(
-            mid_kernel=Kernel2D.delta(3, channels, dilation=MID_DILATION),
-            far_kernel=Kernel2D.delta(3, channels, dilation=FAR_DILATION),
-            head_weights=Tensor(np.zeros((3, depth_channels))),
-            head_bias=Tensor(np.zeros(3)),
-        )
-
     SMOOTHING_MIX = 0.4
 
     @classmethod
-    def smoothing(cls, channels: int, depth_channels: int = 3,
-                  seed: int = 0) -> "FusionParams":
+    def smoothing(cls, channels: int, seed: int = 0) -> "FusionParams":
         """Center-weighted averaging branches with a small random head.
 
         Each branch kernel blends the center tap with a normalized box
@@ -137,7 +125,7 @@ class FusionParams:
         return cls(
             mid_kernel=Kernel2D(kernel.copy(), dilation=MID_DILATION),
             far_kernel=Kernel2D(kernel.copy(), dilation=FAR_DILATION),
-            head_weights=Tensor(rng.normal(0.0, 0.1, (3, depth_channels))),
+            head_weights=Tensor(rng.normal(0.0, 0.1, (3, DEPTH_CHANNELS))),
             head_bias=Tensor(np.zeros(3)),
         )
 
@@ -191,15 +179,18 @@ def fuse(features: Tensor, branches: ScaleBranches, weights: ScaleWeights) -> Te
     return out
 
 
-def depth_feature_stack(depth: DepthMap, h: int, w: int,
-                        dilation: int = 2) -> Array:
+DEPTH_CHANNELS = 3
+
+
+def depth_feature_stack(depth: DepthMap, h: int, w: int) -> Array:
     """Fixed depth-derived channels at the feature resolution.
 
-    Channel 0 is pooled depth, channel 1 the pooled-gradient magnitude,
-    channel 2 raw depth subsampled on the pooling grid. Shape (1, 3, h, w).
+    Channel 0 is pooled depth, channel 1 the magnitude of its dilation-2
+    Sobel gradient, channel 2 raw depth subsampled on the pooling grid.
+    Shape (1, DEPTH_CHANNELS, h, w).
     """
     pooled = align_depth(depth, h, w)
-    gx, gy = macro_gradient(pooled, dilation)
+    gx, gy = macro_gradient(pooled)
     src_h, src_w = depth.shape
     rows = (np.arange(h) * src_h) // h
     cols = (np.arange(w) * src_w) // w

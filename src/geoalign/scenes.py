@@ -115,9 +115,6 @@ class LabelMap:
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
-    def count(self, label: Label) -> int:
-        return int((self.labels == label).sum())
-
 
 class NotEvaluableError(ValueError):
     """Raised when a scene has no scoreable facade content."""
@@ -318,8 +315,7 @@ _SIDE_RANGE = (12, 17)
 _HEIGHT_RANGE = (15.0, 34.0)
 
 
-def facade_heavy_spec(seed: int, raster: tuple[int, int] = (64, 64),
-                      noise_sigma: float = 0.02) -> SceneSpec:
+def facade_heavy_spec(seed: int, raster: tuple[int, int] = (64, 64)) -> SceneSpec:
     """Seeded scene with tall boxes and wide, steep facade strips.
 
     The tilt is kept gentle while strip widths sit at their cap, so the
@@ -349,6 +345,6 @@ def facade_heavy_spec(seed: int, raster: tuple[int, int] = (64, 64),
         boxes=tuple(boxes),
         oblique_slope=slope,
         raster=raster,
-        noise_sigma=noise_sigma,
+        noise_sigma=0.02,
         rng_seed=seed,
     )

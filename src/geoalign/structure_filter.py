@@ -42,6 +42,8 @@ SOBEL_Y = SOBEL_X.T
 
 ZENITH = np.array([0.0, 0.0, 1.0])
 
+LLOYD_ITERS = 50  # cluster_normals stops earlier once no assignment changes
+
 
 @dataclass(frozen=True)
 class DepthMap:
@@ -120,7 +122,6 @@ class FilterConfig:
     edge_quantile: float = 0.85
     clusters: int = 3
     cluster_seed: int = 0
-    cluster_iters: int = 50
 
     def __post_init__(self):
         if self.gradient_dilation < 1:
@@ -129,8 +130,6 @@ class FilterConfig:
             raise ValueError(f"edge quantile must be in [0, 1), got {self.edge_quantile}")
         if self.clusters < 1:
             raise ValueError(f"need at least one cluster, got {self.clusters}")
-        if self.cluster_iters < 1:
-            raise ValueError(f"need at least one iteration, got {self.cluster_iters}")
 
 
 class GeoMask:
@@ -230,8 +229,7 @@ def _kmeans_pp(points: Array, k: int, rng: np.random.Generator) -> Array:
     return points[chosen].copy()
 
 
-def cluster_normals(points: Array, k: int, seed: int,
-                    iters: int = 50) -> tuple[Array, Array, Array]:
+def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Array]:
     """Lloyd's iteration with seeded k-means++ starts.
 
     Returns ``(centroids, labels, counts)``. Assignment ties go to the lowest
@@ -257,7 +255,7 @@ def cluster_normals(points: Array, k: int, seed: int,
     d2 = np.empty((k, n))
     term = np.empty(n)
     labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(LLOYD_ITERS):
         for m, centroid in enumerate(centroids):
             row = d2[m]
             np.square(np.subtract(columns[0], centroid[0], out=row), out=row)
@@ -290,8 +288,7 @@ def dominant_normal(field: NormalField, partition: EdgePartition,
     if len(flat) < cfg.clusters:
         mean = flat.mean(axis=0)
         return mean / np.linalg.norm(mean)
-    centroids, _, counts = cluster_normals(
-        flat, cfg.clusters, cfg.cluster_seed, cfg.cluster_iters)
+    centroids, _, counts = cluster_normals(flat, cfg.clusters, cfg.cluster_seed)
     best = max(range(cfg.clusters),
                key=lambda m: (counts[m], centroids[m, 2], -m))
     winner = centroids[best]

@@ -7,7 +7,6 @@ import pytest
 
 from geoalign.checks import LOSS_NAMES, PARAM_GROUPS, GradientCheck, _build_scenario, run_gradient_checks
 from geoalign.losses import partition_by_quantile
-from geoalign.structure_filter import FilterConfig
 
 
 class TestRunGradientChecks:
@@ -46,7 +45,7 @@ class TestRunGradientChecks:
     def test_contrast_partition_matches_the_closed_form_mask(self):
         # The default battery: base seed 0, the first 20 scenarios that build.
         seeds = np.random.default_rng(0).integers(0, 2**31 - 1, size=80)
-        built = (_build_scenario(int(x), FilterConfig()) for x in seeds)
+        built = (_build_scenario(int(x)) for x in seeds)
         scenarios = list(itertools.islice((s for s in built if s is not None), 20))
         assert len(scenarios) == 20
         for scenario in scenarios:

@@ -186,6 +186,19 @@ class TestEval:
         assert main(["eval", mask_path, label_path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mask, value", [
+        (np.full((8, 8), np.nan), "nan"),
+        (np.full((8, 8), 7.0), "7.0"),
+        (np.where(np.arange(64).reshape(8, 8) == 27, np.inf, 0.5), "inf"),
+    ], ids=["all_nan", "all_seven", "one_inf"])
+    def test_corrupt_mask_is_rejected(self, tmp_path, capsys, mask, value):
+        mask_path, label_path = self.write_pair(tmp_path, mask, self.toy_labels())
+        assert main(["eval", mask_path, label_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: mask {mask_path} must hold finite values "
+                                f"in [0, 1], got {value}\n")
+
 
 class TestPipeline:
     def test_synth_mask_eval_chain_scores_high(self, tmp_path, capsys):

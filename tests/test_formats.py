@@ -20,12 +20,26 @@ from geoalign.formats import (
     parse_scene_spec,
     read_f64_raster,
     read_u8_raster,
-    serialize_scene_spec,
     write_f64_raster,
     write_mask_pgm,
     write_u8_raster,
 )
 from geoalign.scenes import Box, SceneSpec
+
+
+def serialize_scene_spec(spec):
+    """Canonical spec text naming every field; the round-trip oracle for
+    ``parse_scene_spec``."""
+    lines = [
+        f"ground {spec.ground_depth!r}",
+        f"slope {spec.oblique_slope[0]!r} {spec.oblique_slope[1]!r}",
+        f"raster {spec.raster[0]} {spec.raster[1]}",
+        f"noise {spec.noise_sigma!r}",
+        f"seed {spec.rng_seed}",
+        f"edge-band {spec.edge_band}",
+    ]
+    lines.extend(f"box {b.x} {b.y} {b.w} {b.h} {b.height!r}" for b in spec.boxes)
+    return "\n".join(lines) + "\n"
 
 
 class TestF64Raster:

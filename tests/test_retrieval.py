@@ -13,7 +13,6 @@ from geoalign.retrieval import (
     FEATURE_GRID,
     RetrievalReport,
     ToyEncoder,
-    arm_components,
     detrend_depth,
     embed,
     embed_arms,
@@ -44,6 +43,13 @@ EASY_B = SceneSpec(40.0, (Box(6, 6, 20, 20, 32.0), Box(36, 10, 18, 14, 25.0),
 
 def scene_depth(seed):
     return render_oblique(facade_heavy_spec(seed))[0]
+
+
+def arm_inputs(arm, channels, seed=0):
+    """The fusion and gate ``run_experiment`` gives ``arm``; None where unused."""
+    fused, masked = retrieval._arm_parts(arm)
+    return (FusionParams.smoothing(channels, seed=seed) if fused else None,
+            GateParams() if masked else None)
 
 
 def embed_one_arm(depth, encoder, fusion=None, gate=None):
@@ -127,7 +133,7 @@ class TestEmbed:
         depth = scene_depth(0)
         enc = ToyEncoder.seeded(channels=16)
         for arm in ARMS:
-            fusion, gate = arm_components(arm, channels=16)
+            fusion, gate = arm_inputs(arm, 16)
             e = embed(depth, enc, fusion=fusion, gate=gate).data
             assert e.shape == (16,)
             assert abs(np.linalg.norm(e) - 1.0) < 1e-12
@@ -161,14 +167,14 @@ class TestEmbed:
 
     def test_shared_arms_are_byte_equal_to_each_arm_alone(self):
         enc = ToyEncoder.seeded(seed=1, channels=16)
-        fusion, gate = arm_components("full", channels=16, seed=1)
+        fusion, gate = FusionParams.smoothing(16, seed=1), GateParams()
         parts = [(False, False), (True, False), (False, True), (True, True)]  # ARMS order
         for seed in range(3):
             spec = facade_heavy_spec(seed)
             for depth in (render_ortho(spec)[0], render_oblique(spec)[0]):
                 shared = embed_arms(depth, enc, parts, fusion, gate)
                 for arm, e in zip(ARMS, shared):
-                    f, g = arm_components(arm, channels=16, seed=1)
+                    f, g = arm_inputs(arm, 16, seed=1)
                     alone = embed(depth, enc, fusion=f, gate=g).data.tobytes()
                     assert e.data.tobytes() == alone, arm
                     assert embed_one_arm(depth, enc, f, g).data.tobytes() == alone, arm
@@ -226,17 +232,13 @@ class TestRankingMetrics:
 
 class TestArmComponents:
     def test_component_wiring(self):
-        assert arm_components("base", channels=8) == (None, None)
-        fusion, gate = arm_components("mgsa", channels=8)
-        assert isinstance(fusion, FusionParams) and gate is None
-        fusion, gate = arm_components("mgsf", channels=8)
-        assert fusion is None and isinstance(gate, GateParams)
-        fusion, gate = arm_components("full", channels=8)
-        assert isinstance(fusion, FusionParams) and isinstance(gate, GateParams)
+        # (uses scale fusion, uses the geometric mask) for each arm
+        assert [retrieval._arm_parts(arm) for arm in ARMS] == [
+            (False, False), (True, False), (False, True), (True, True)]
 
     def test_unknown_arm_rejected(self):
-        with pytest.raises(ValueError, match="unknown arm"):
-            arm_components("extra")
+        with pytest.raises(ValueError, match="unknown arm 'extra'"):
+            run_experiment(arms=("extra",))
 
 
 class TestRunExperiment:

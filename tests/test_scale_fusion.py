@@ -4,7 +4,7 @@ and the residual blend."""
 import numpy as np
 import pytest
 
-from geoalign.autodiff import Kernel2D, Tape, Tensor, mean_all, mul, sum_all
+from geoalign.autodiff import Kernel2D, Tape, Tensor, mul, sum_all
 from geoalign.scale_fusion import (
     FAR_DILATION,
     MID_DILATION,
@@ -17,6 +17,7 @@ from geoalign.scale_fusion import (
     scale_weights,
 )
 from geoalign.structure_filter import SOBEL_X, DepthMap, align_depth, macro_gradient
+from identity_params import delta_kernel, identity_fusion
 
 
 def random_depth(seed, shape=(32, 32)):
@@ -30,7 +31,7 @@ def random_stack(seed, h=8, w=8):
 
 class TestFusionParams:
     def test_identity_uses_delta_stencils_and_zero_head(self):
-        params = FusionParams.identity(channels=4)
+        params = identity_fusion(4)
         assert params.mid_kernel.dilation == MID_DILATION
         assert params.far_kernel.dilation == FAR_DILATION
         assert np.array_equal(params.head_weights.data, np.zeros((3, 3)))
@@ -53,8 +54,8 @@ class TestFusionParams:
         assert not np.array_equal(a, c)
 
     def test_dilation_and_head_shape_validation(self):
-        delta_mid = Kernel2D.delta(3, 2, dilation=MID_DILATION)
-        delta_far = Kernel2D.delta(3, 2, dilation=FAR_DILATION)
+        delta_mid = delta_kernel(3, 2, dilation=MID_DILATION)
+        delta_far = delta_kernel(3, 2, dilation=FAR_DILATION)
         zeros_w, zeros_b = Tensor(np.zeros((3, 3))), Tensor(np.zeros(3))
         with pytest.raises(ValueError, match="mid kernel dilation"):
             FusionParams(delta_far, delta_far, zeros_w, zeros_b)
@@ -70,7 +71,7 @@ class TestScaleBranches:
     def test_delta_kernels_reproduce_input_on_every_branch(self):
         rng = np.random.default_rng(1)
         f = Tensor(rng.normal(size=(2, 4, 8, 8)))
-        branches = scale_branches(f, FusionParams.identity(4))
+        branches = scale_branches(f, identity_fusion(4))
         assert branches.near is f
         assert np.array_equal(branches.mid.data, f.data)
         assert np.array_equal(branches.far.data, f.data)
@@ -81,7 +82,7 @@ class TestScaleBranches:
         stencil[:, 1] = [1.0, 2.0, -3.0]
         params = FusionParams(
             mid_kernel=Kernel2D(stencil, dilation=MID_DILATION),
-            far_kernel=Kernel2D.delta(3, 2, dilation=FAR_DILATION),
+            far_kernel=delta_kernel(3, 2, dilation=FAR_DILATION),
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor(np.zeros(3)),
         )
@@ -95,7 +96,7 @@ class TestScaleBranches:
         stencil = np.tile(SOBEL_X / (8.0 * MID_DILATION), (2, 1, 1))
         params = FusionParams(
             mid_kernel=Kernel2D(stencil, dilation=MID_DILATION),
-            far_kernel=Kernel2D.delta(3, 2, dilation=FAR_DILATION),
+            far_kernel=delta_kernel(3, 2, dilation=FAR_DILATION),
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor(np.zeros(3)),
         )
@@ -110,20 +111,20 @@ class TestScaleBranches:
 
     def test_features_must_be_4d(self):
         with pytest.raises(ValueError, match="4-d"):
-            scale_branches(Tensor(np.zeros((4, 4))), FusionParams.identity(4))
+            scale_branches(Tensor(np.zeros((4, 4))), identity_fusion(4))
 
 
 class TestScaleWeights:
     def test_zero_head_predicts_uniform_thirds(self):
-        w = scale_weights(random_stack(0), FusionParams.identity(4))
+        w = scale_weights(random_stack(0), identity_fusion(4))
         assert w.shape == (1, 3, 1, 8, 8)
         assert np.array_equal(w.weights.data,
                               np.full((1, 3, 1, 8, 8), 1.0 / 3.0))
 
     def test_bias_only_head_matches_softmax_of_bias(self):
         params = FusionParams(
-            mid_kernel=Kernel2D.delta(3, 4, dilation=MID_DILATION),
-            far_kernel=Kernel2D.delta(3, 4, dilation=FAR_DILATION),
+            mid_kernel=delta_kernel(3, 4, dilation=MID_DILATION),
+            far_kernel=delta_kernel(3, 4, dilation=FAR_DILATION),
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor([10.0, 0.0, -10.0]),
         )
@@ -162,7 +163,7 @@ class TestScaleWeights:
             ScaleWeights(Tensor(bad))
         with pytest.raises(ValueError, match="depth channels"):
             scale_weights(Tensor(np.zeros((1, 2, 4, 4))),
-                          FusionParams.identity(4))
+                          identity_fusion(4))
 
 
 class TestFuse:
@@ -170,8 +171,8 @@ class TestFuse:
         rng = np.random.default_rng(2)
         f = Tensor(rng.normal(size=(1, 4, 8, 8)))
         params = FusionParams(
-            mid_kernel=Kernel2D.delta(3, 4, dilation=MID_DILATION),
-            far_kernel=Kernel2D.delta(3, 4, dilation=FAR_DILATION),
+            mid_kernel=delta_kernel(3, 4, dilation=MID_DILATION),
+            far_kernel=delta_kernel(3, 4, dilation=FAR_DILATION),
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor([1000.0, 0.0, 0.0]),
         )
@@ -185,7 +186,7 @@ class TestFuse:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             f = Tensor(rng.normal(size=(1, 4, 8, 8)))
-            params = FusionParams.identity(4)
+            params = identity_fusion(4)
             fused = fuse(f, scale_branches(f, params),
                          scale_weights(random_stack(seed), params))
             assert np.max(np.abs(fused.data - 2.0 * f.data)) < 1e-12
@@ -195,7 +196,7 @@ class TestFuse:
         f = Tensor(rng.normal(size=(1, 4, 8, 8)))
         zeros = Tensor(np.zeros_like(f.data))
         branches = ScaleBranches(near=f, mid=zeros, far=zeros)
-        weights = scale_weights(random_stack(3), FusionParams.identity(4))
+        weights = scale_weights(random_stack(3), identity_fusion(4))
         fused = fuse(f, branches, weights)
         assert np.max(np.abs(fused.data - (f.data + f.data / 3.0))) < 1e-12
 
@@ -232,7 +233,7 @@ class TestFuse:
 
     def test_mismatched_weights_rejected(self):
         f = Tensor(np.zeros((1, 4, 6, 6)))
-        params = FusionParams.identity(4)
+        params = identity_fusion(4)
         weights = scale_weights(random_stack(0), params)  # 8x8 grid
         with pytest.raises(ValueError, match="do not match"):
             fuse(f, scale_branches(f, params), weights)
@@ -251,7 +252,7 @@ class TestFuse:
         f = Tensor(rng.normal(size=(1, 2, 8, 8)))
         fused = fuse(f, scale_branches(f, params),
                      scale_weights(random_stack(6), params))
-        tape.backward(mean_all(mul(fused, fused)))
+        tape.backward(sum_all(mul(fused, fused)))
         assert params.head_weights.grad is not None
         assert np.any(params.head_weights.grad != 0.0)
         assert params.head_bias.grad is not None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoalign.autodiff import Tape, Tensor, mean_all, mul
+from geoalign.autodiff import Tape, Tensor, mul, sum_all
 from geoalign.structure_filter import (
     SOBEL_X,
     SOBEL_Y,
@@ -357,7 +357,7 @@ class TestConsistencyAndGate:
         tape = Tape()
         gate = GateParams(gain=tape.leaf(5.0), bias=tape.leaf(-2.5))
         out = adaptive_gate(np.array([[0.8]]), gate)
-        tape.backward(mean_all(out))
+        tape.backward(sum_all(out))
         assert gate.gain.grad is not None and gate.gain.grad != 0.0
         assert gate.bias.grad is not None and gate.bias.grad != 0.0
 
@@ -505,6 +505,6 @@ class TestFilterFeatures:
         depth = DepthMap(40.0 + rng.normal(size=(32, 32)))
         f = Tensor(rng.normal(size=(1, 2, 8, 8)))
         out, _ = filter_features(f, depth, gate)
-        tape.backward(mean_all(mul(out, out)))
+        tape.backward(sum_all(mul(out, out)))
         assert gate.gain.grad is not None and gate.gain.grad != 0.0
         assert gate.bias.grad is not None and gate.bias.grad != 0.0
