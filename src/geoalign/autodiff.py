@@ -27,20 +27,21 @@ Array = np.ndarray
 
 
 class Tensor:
-    """Dense float64 array, optionally tracked by a :class:`Tape`."""
+    """Dense float64 array; it requires grad exactly when a :class:`Tape` tracks it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, requires_grad: bool = False, tape: "Tape | None" = None):
+    def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor data must be finite")
-        if requires_grad and tape is None:
-            raise ValueError("a tensor that requires grad must belong to a tape")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self.tape = tape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.tape is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,7 +82,7 @@ class Tape:
 
     def leaf(self, data) -> Tensor:
         """Create a trainable leaf tensor attached to this tape."""
-        return Tensor(data, requires_grad=True, tape=self)
+        return Tensor(data, tape=self)
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
@@ -118,11 +119,10 @@ def _axis(t: Tensor, axis: int) -> int:
 
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
           pullback: Callable[[Array], Sequence[Array | None]]) -> Tensor:
-    """Build the output tensor and record the node when gradients are live."""
+    """Build the output tensor and record the node when an input has a tape."""
     tape = next((t.tape for t in inputs if t.tape is not None), None)
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track, tape=tape if track else None)
-    if track:
+    out = Tensor(out_data, tape=tape)
+    if tape is not None:
         tape._nodes.append(_Node(out, inputs, pullback))
     return out
 

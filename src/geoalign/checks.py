@@ -141,12 +141,12 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     )
     gate = GateParams(gain=_as_tensor(params["gate_gain"]),
                       bias=_as_tensor(params["gate_bias"]))
-    overrides = {"dw1": params["enc_dw1"], "pw2": params["enc_pw2"]}
+    encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
     embeddings = []
     anchor_features = None
     for geometry in scenario.geometries:
         x = Tensor(geometry.stack)
-        features = scenario.encoder.forward(x, overrides)
+        features = encoder.forward(x)
         branches = scale_branches(features, fusion)
         weights = scale_weights(x, fusion)
         features = fuse(features, branches, weights)

@@ -90,7 +90,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    depth = DepthMap(read_f64_raster(args.depth_file))
+    raster = read_f64_raster(args.depth_file)
+    try:
+        depth = DepthMap(raster)
+    except ValueError as exc:
+        raise ValueError(f"{args.depth_file}: {exc}") from None
     config = FilterConfig(
         gradient_dilation=args.dilation,
         edge_quantile=args.tau_q,
@@ -128,11 +132,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"mask {args.mask_file} must hold finite values in [0, 1], "
                          f"got {float(mask[~valid][0])}")
     labels = LabelMap(read_u8_raster(args.label_file))
-    try:
-        accuracy = mask_quality(mask, labels)
-    except NotEvaluableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    accuracy = mask_quality(mask, labels)
     means = class_mask_means(mask, labels)
     header = "balanced_accuracy,mean_ground,mean_roof,mean_facade,mean_edge"
     row = ",".join(

@@ -165,42 +165,32 @@ def write_mask_pgm(path, values: Array) -> None:
     atomic_write_bytes(path, encode_mask_pgm(values))
 
 
-def _parse_floats(parts: list[str], n: int, line: int, key: str) -> list[float]:
+def _parse_numbers(parts: list[str], n: int, line: int, key: str, kind: type) -> list:
+    """``n`` values of ``kind`` (``float`` or ``int``), each finite as a float64."""
     if len(parts) != n:
         raise SpecFormatError(f"`{key}` takes {n} value(s), got {len(parts)}", line)
     out = []
     for p in parts:
         try:
-            v = float(p)
+            v = kind(p)
         except ValueError:
-            raise SpecFormatError(f"`{key}`: {p!r} is not a number", line) from None
-        if not math.isfinite(v):
+            noun = "a number" if kind is float else "an integer"
+            raise SpecFormatError(f"`{key}`: {p!r} is not {noun}", line) from None
+        if not math.isfinite(float(p)):  # an int past the float64 range reads inf
             raise SpecFormatError(f"`{key}`: {p!r} is not finite", line)
         out.append(v)
     return out
 
 
-def _parse_ints(parts: list[str], n: int, line: int, key: str) -> list[int]:
-    if len(parts) != n:
-        raise SpecFormatError(f"`{key}` takes {n} value(s), got {len(parts)}", line)
-    out = []
-    for p in parts:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise SpecFormatError(f"`{key}`: {p!r} is not an integer", line) from None
-    return out
-
-
-# Singleton spec directives: name -> (SceneSpec field, value parser, count).
+# Singleton spec directives: name -> (SceneSpec field, value type, count).
 # An absent directive leaves the field at its SceneSpec default.
 _DIRECTIVES = {
-    "ground": ("ground_depth", _parse_floats, 1),
-    "slope": ("oblique_slope", _parse_floats, 2),
-    "raster": ("raster", _parse_ints, 2),
-    "noise": ("noise_sigma", _parse_floats, 1),
-    "seed": ("rng_seed", _parse_ints, 1),
-    "edge-band": ("edge_band", _parse_ints, 1),
+    "ground": ("ground_depth", float, 1),
+    "slope": ("oblique_slope", float, 2),
+    "raster": ("raster", int, 2),
+    "noise": ("noise_sigma", float, 1),
+    "seed": ("rng_seed", int, 1),
+    "edge-band": ("edge_band", int, 1),
 }
 
 
@@ -219,8 +209,8 @@ def parse_scene_spec(text: str) -> SceneSpec:
                 raise SpecFormatError(
                     f"`box` takes 5 values (x y w h height), got {len(parts)}", line_no
                 )
-            ints = _parse_ints(parts[:4], 4, line_no, "box")
-            (height,) = _parse_floats(parts[4:], 1, line_no, "box")
+            ints = _parse_numbers(parts[:4], 4, line_no, "box", int)
+            (height,) = _parse_numbers(parts[4:], 1, line_no, "box", float)
             try:
                 boxes.append(Box(*ints, height))
             except ValueError as exc:
@@ -228,10 +218,10 @@ def parse_scene_spec(text: str) -> SceneSpec:
             continue
         if key not in _DIRECTIVES:
             raise SpecFormatError(f"unknown directive {key!r}", line_no)
-        field, parse, count = _DIRECTIVES[key]
+        field, kind, count = _DIRECTIVES[key]
         if field in fields:
             raise SpecFormatError(f"duplicate `{key}` line", line_no)
-        values = parse(parts, count, line_no, key)
+        values = _parse_numbers(parts, count, line_no, key, kind)
         fields[field] = values[0] if count == 1 else tuple(values)
     if "ground_depth" not in fields:
         raise SpecFormatError("missing required `ground` line")

@@ -19,7 +19,7 @@ component's contribution to retrieval quality can be measured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +62,9 @@ ARM_FILTER_CONFIG = FilterConfig(gradient_dilation=1, edge_quantile=0.25)
 class ToyEncoder:
     """Two separable stages: depthwise 3x3 stencil, 1x1 channel mix, sigmoid.
 
-    Weights are plain arrays fixed at construction; ``forward`` accepts
-    tensor overrides for any of them so gradients can be checked through the
-    whole pipeline.
+    Weights are plain arrays fixed at construction. A copy made with
+    ``dataclasses.replace`` may hold tape leaves in place of any of them, so
+    gradients can be checked through the whole pipeline.
     """
 
     dw1: Array
@@ -73,8 +73,6 @@ class ToyEncoder:
     dw2: Array
     pw2: Array
     b2: Array
-
-    PARAM_NAMES = ("dw1", "pw1", "b1", "dw2", "pw2", "b2")
 
     @classmethod
     def seeded(cls, seed: int = 0, channels: int = EMBEDDING_DIM) -> "ToyEncoder":
@@ -92,17 +90,11 @@ class ToyEncoder:
     def channels(self) -> int:
         return self.pw1.shape[0]
 
-    def forward(self, x: Tensor, overrides: Mapping[str, Tensor] | None = None) -> Tensor:
-        p: dict[str, Tensor | Array] = {name: getattr(self, name) for name in self.PARAM_NAMES}
-        if overrides:
-            unknown = set(overrides) - set(self.PARAM_NAMES)
-            if unknown:
-                raise ValueError(f"unknown encoder parameters: {sorted(unknown)}")
-            p.update(overrides)
-        y = conv2d(x, Kernel2D(p["dw1"]))
-        y = sigmoid(channel_project(y, p["pw1"], p["b1"]))
-        y = conv2d(y, Kernel2D(p["dw2"]))
-        y = sigmoid(channel_project(y, p["pw2"], p["b2"]))
+    def forward(self, x: Tensor) -> Tensor:
+        y = conv2d(x, Kernel2D(self.dw1))
+        y = sigmoid(channel_project(y, self.pw1, self.b1))
+        y = conv2d(y, Kernel2D(self.dw2))
+        y = sigmoid(channel_project(y, self.pw2, self.b2))
         return y
 
 
@@ -131,32 +123,20 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
     return DepthMap(values - coef[0] * cols - coef[1] * rows)
 
 
-def embed(
-    depth: DepthMap,
-    encoder: ToyEncoder,
-    fusion: FusionParams | None = None,
-    gate: GateParams | None = None,
-) -> Tensor:
-    """Unit-norm embedding of one depth map.
+def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
+          fusion: FusionParams | None = None,
+          gate: GateParams | None = None) -> list[Tensor]:
+    """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
+    pair in ``arm_parts``.
 
     The depth map is plane-detrended, reduced to fixed derived channels and
     encoded; the features are optionally fused across scales and optionally
     modulated by the geometric mask, then globally average-pooled to one
     value per channel. The mask is computed from the original depth map —
     handling oblique geometry is its job — while the encoder sees the
-    detrended one.
-    """
-    parts = (fusion is not None, gate is not None)
-    return embed_arms(depth, encoder, [parts], fusion, gate)[0]
-
-
-def embed_arms(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
-               fusion: FusionParams | None = None,
-               gate: GateParams | None = None) -> list[Tensor]:
-    """``embed`` for each (uses fusion, uses mask) pair in ``arm_parts``.
-
-    The encoder, the fusion and the mask each run at most once for all pairs;
-    only the modulation, pooling and normalization run per pair.
+    detrended one. The encoder, the fusion and the mask each run at most once
+    for all pairs; only the modulation, pooling and normalization run per
+    pair.
     """
     stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *FEATURE_GRID)))
     plain = encoder.forward(stack)
@@ -234,7 +214,7 @@ def run_experiment(
     ``seed``, so two runs with the same arguments produce identical reports.
     Scene seeds are ``default_rng(seed).integers(0, 2**31 - 1, n_scenes)``,
     each passed to ``spec_fn`` in order. Each depth map is embedded for all
-    arms at once (``embed_arms``).
+    arms at once (``embed``).
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
@@ -249,7 +229,7 @@ def run_experiment(
     encoder = ToyEncoder.seeded(seed=seed, channels=channels)
     fusion, gate = FusionParams.smoothing(channels, seed=seed), GateParams()
     gallery_rows, query_rows = (
-        [embed_arms(d, encoder, arm_parts, fusion, gate) for d in depths]
+        [embed(d, encoder, arm_parts, fusion, gate) for d in depths]
         for depths in (gallery_depths, query_depths))
     reports: dict[str, RetrievalReport] = {}
     for k, arm in enumerate(arms):

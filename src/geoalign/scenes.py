@@ -171,12 +171,13 @@ def facade_width(height: float, slope: tuple[float, float]) -> int:
 
 
 def _dilate(mask: Array, radius: int) -> Array:
-    if radius <= 0:
-        return mask.copy()
+    """``mask`` grown by ``radius`` pixels (Chebyshev). A shift past an axis
+    reaches no pixel, so each axis's offsets are clipped to its length."""
     h, w = mask.shape
+    ry, rx = (max(0, min(radius, n - 1)) for n in (h, w))
     out = np.zeros_like(mask)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
             ys = slice(max(dy, 0), h + min(dy, 0))
             yd = slice(max(-dy, 0), h + min(-dy, 0))
             xs = slice(max(dx, 0), w + min(dx, 0))
@@ -209,28 +210,21 @@ def render_oblique(spec: SceneSpec) -> tuple[DepthMap, LabelMap]:
         width = facade_width(box.height, spec.oblique_slope)
         roof = spec.ground_depth - box.height
         step = box.height / (width + 1)
-        if sx != 0.0:
+        # The sy strip is the sx strip of the transposed views.
+        for slope, d_view, l_view, lo, length, across in (
+                (sx, depth, labels, box.x, box.w, slice(box.y, box.y + box.h)),
+                (sy, depth.T, labels.T, box.y, box.h, slice(box.x, box.x + box.w))):
+            if slope == 0.0:
+                continue
             for d in range(1, width + 1):
-                col = box.x + box.w - 1 + d if sx > 0 else box.x - d
-                if not 0 <= col < w:
+                col = lo + length - 1 + d if slope > 0 else lo - d
+                if not 0 <= col < d_view.shape[1]:
                     continue
-                rows = slice(box.y, box.y + box.h)
-                writable = labels[rows, col] != Label.ROOF
-                depth[rows, col] = np.where(writable, roof + step * d,
-                                            depth[rows, col])
-                labels[rows, col] = np.where(writable, Label.FACADE,
-                                             labels[rows, col])
-        if sy != 0.0:
-            for d in range(1, width + 1):
-                row = box.y + box.h - 1 + d if sy > 0 else box.y - d
-                if not 0 <= row < h:
-                    continue
-                cols = slice(box.x, box.x + box.w)
-                writable = labels[row, cols] != Label.ROOF
-                depth[row, cols] = np.where(writable, roof + step * d,
-                                            depth[row, cols])
-                labels[row, cols] = np.where(writable, Label.FACADE,
-                                             labels[row, cols])
+                writable = l_view[across, col] != Label.ROOF
+                d_view[across, col] = np.where(writable, roof + step * d,
+                                               d_view[across, col])
+                l_view[across, col] = np.where(writable, Label.FACADE,
+                                               l_view[across, col])
     boundary = np.zeros((h, w), dtype=bool)
     boundary[:, 1:] |= labels[:, 1:] != labels[:, :-1]
     boundary[:, :-1] |= labels[:, 1:] != labels[:, :-1]

@@ -77,10 +77,15 @@ class TestTensorBasics:
             Tensor([float("inf")])
 
     def test_requires_grad_needs_a_tape(self):
-        with pytest.raises(ValueError, match="tape"):
-            Tensor([1.0], requires_grad=True)
-        leaf = Tape().leaf([1.0])
-        assert leaf.requires_grad
+        assert not Tensor([1.0]).requires_grad
+        tape = Tape()
+        leaf = tape.leaf([1.0])
+        assert leaf.requires_grad and leaf.tape is tape
+        tracked, constant = mul(leaf, 2.0), mul(Tensor([1.0]), 2.0)
+        assert tracked.requires_grad and tracked.tape is tape and len(tape) == 1
+        assert not constant.requires_grad and constant.tape is None
+        with pytest.raises(AttributeError):
+            leaf.requires_grad = False
 
     def test_item_demands_single_element(self):
         assert Tensor(3.5).item() == 3.5

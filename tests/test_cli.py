@@ -110,6 +110,20 @@ class TestMask:
         assert main(["mask", str(bad), str(tmp_path / "m")]) == 1
         assert "payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raster, message", [
+        (np.where(np.arange(256).reshape(16, 16) == 37, np.nan, 40.0),
+         "depth must be finite"),
+        (np.full((2, 2), 40.0), "depth raster too small: (2, 2)"),
+    ], ids=["one_nan", "two_by_two"])
+    def test_unusable_depth_raster_is_named(self, tmp_path, capsys, raster, message):
+        depth = str(tmp_path / "bad.geod")
+        write_f64_raster(depth, raster)
+        assert main(["mask", depth, str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {depth}: {message}\n"
+        assert not list(tmp_path.glob("m.*"))
+
     def test_invalid_quantile_rejected(self, tmp_path, capsys):
         depth = self.synth_flat(tmp_path)
         assert main(["mask", depth, str(tmp_path / "m"), "--tau-q", "1.5"]) == 1
@@ -321,6 +335,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == ("error: slope 1e+308 1e+308 tilts the ground plane "
                                 "past the float64 range on the 64x64 raster\n")
+        assert not out.exists()
+
+    def test_spec_integer_past_float64_is_not_finite(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        spec = write_spec(tmp_path, f"ground 40\nraster 4 {huge}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", spec, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: `raster`: '{huge}' is not finite\n"
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 

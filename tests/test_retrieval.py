@@ -1,6 +1,8 @@
 """Cross-view retrieval harness: encoder, embeddings, ranking metrics, and
 the ablation experiment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from geoalign.retrieval import (
     ToyEncoder,
     detrend_depth,
     embed,
-    embed_arms,
     mean_average_precision,
     rank_gallery,
     recall_at_k,
@@ -52,6 +53,11 @@ def arm_inputs(arm, channels, seed=0):
             GateParams() if masked else None)
 
 
+def embed_arm(depth, encoder, fusion=None, gate=None):
+    """``embed`` for the one arm that uses exactly the given fusion and gate."""
+    return embed(depth, encoder, [(fusion is not None, gate is not None)], fusion, gate)[0]
+
+
 def embed_one_arm(depth, encoder, fusion=None, gate=None):
     """The embedding chain of one arm on its own, recomputing every stage."""
     h, w = FEATURE_GRID
@@ -71,8 +77,8 @@ class TestToyEncoder:
         a = ToyEncoder.seeded(seed=3, channels=8)
         b = ToyEncoder.seeded(seed=3, channels=8)
         c = ToyEncoder.seeded(seed=4, channels=8)
-        for name in ToyEncoder.PARAM_NAMES:
-            assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+        for field in dataclasses.fields(ToyEncoder):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
         assert not np.array_equal(a.pw1.data, c.pw1.data)
 
     def test_channel_counts(self):
@@ -88,14 +94,6 @@ class TestToyEncoder:
         out = enc.forward(Tensor(rng.normal(size=(1, 3, 8, 8))))
         assert out.shape == (1, 8, 8, 8)
         assert np.min(out.data) > 0.0 and np.max(out.data) < 1.0
-
-    def test_unknown_override_rejected(self):
-        enc = ToyEncoder.seeded(channels=4)
-        from geoalign.autodiff import Tensor
-
-        with pytest.raises(ValueError, match="unknown encoder parameters"):
-            enc.forward(Tensor(np.zeros((1, 3, 4, 4))),
-                        overrides={"nope": Tensor(np.zeros(1))})
 
 
 class TestPreprocessing:
@@ -134,21 +132,21 @@ class TestEmbed:
         enc = ToyEncoder.seeded(channels=16)
         for arm in ARMS:
             fusion, gate = arm_inputs(arm, 16)
-            e = embed(depth, enc, fusion=fusion, gate=gate).data
+            e = embed_arm(depth, enc, fusion=fusion, gate=gate).data
             assert e.shape == (16,)
             assert abs(np.linalg.norm(e) - 1.0) < 1e-12
 
     def test_deterministic(self):
         depth = scene_depth(1)
         enc = ToyEncoder.seeded(channels=8)
-        a = embed(depth, enc, gate=GateParams()).data
-        b = embed(depth, enc, gate=GateParams()).data
+        a = embed_arm(depth, enc, gate=GateParams()).data
+        b = embed_arm(depth, enc, gate=GateParams()).data
         assert np.array_equal(a, b)
 
     def test_different_scenes_embed_differently(self):
         enc = ToyEncoder.seeded(channels=16)
-        a = embed(scene_depth(0), enc).data
-        b = embed(scene_depth(1), enc).data
+        a = embed_arm(scene_depth(0), enc).data
+        b = embed_arm(scene_depth(1), enc).data
         assert not np.allclose(a, b)
 
     def test_mask_raises_same_scene_cross_view_similarity_on_average(self):
@@ -158,10 +156,10 @@ class TestEmbed:
             spec = facade_heavy_spec(seed)
             ortho = render_ortho(spec)[0]
             oblique = render_oblique(spec)[0]
-            plain = float(embed(ortho, enc).data @ embed(oblique, enc).data)
+            plain = float(embed_arm(ortho, enc).data @ embed_arm(oblique, enc).data)
             gate = GateParams()
-            masked = float(embed(ortho, enc, gate=gate).data
-                           @ embed(oblique, enc, gate=gate).data)
+            masked = float(embed_arm(ortho, enc, gate=gate).data
+                           @ embed_arm(oblique, enc, gate=gate).data)
             gains.append(masked - plain)
         assert float(np.mean(gains)) >= 0.0
 
@@ -172,10 +170,10 @@ class TestEmbed:
         for seed in range(3):
             spec = facade_heavy_spec(seed)
             for depth in (render_ortho(spec)[0], render_oblique(spec)[0]):
-                shared = embed_arms(depth, enc, parts, fusion, gate)
+                shared = embed(depth, enc, parts, fusion, gate)
                 for arm, e in zip(ARMS, shared):
                     f, g = arm_inputs(arm, 16, seed=1)
-                    alone = embed(depth, enc, fusion=f, gate=g).data.tobytes()
+                    alone = embed_arm(depth, enc, fusion=f, gate=g).data.tobytes()
                     assert e.data.tobytes() == alone, arm
                     assert embed_one_arm(depth, enc, f, g).data.tobytes() == alone, arm
 
@@ -292,7 +290,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("arms", [ARMS, ("base",), ("base", "mgsa"), ("mgsa",),
                                       ("mgsf",), ("full",), ("mgsf", "full")])
     def test_shared_work_runs_once_per_depth_map(self, monkeypatch, arms):
-        calls = {"forward": 0, "fuse": 0, "mask": 0}
+        calls = {"embed": 0, "forward": 0, "fuse": 0, "mask": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -300,12 +298,14 @@ class TestRunExperiment:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(retrieval, "embed", counted("embed", retrieval.embed))
         monkeypatch.setattr(ToyEncoder, "forward", counted("forward", ToyEncoder.forward))
         monkeypatch.setattr(retrieval, "fuse", counted("fuse", retrieval.fuse))
         monkeypatch.setattr(retrieval, "structure_mask",
                             counted("mask", retrieval.structure_mask))
         n = 3
         run_experiment(n_scenes=n, seed=1, arms=arms, channels=8)
+        assert calls["embed"] == 2 * n
         assert calls["forward"] == 2 * n
         assert calls["fuse"] == (2 * n if {"mgsa", "full"} & set(arms) else 0)
         assert calls["mask"] == (2 * n if {"mgsf", "full"} & set(arms) else 0)

@@ -14,6 +14,7 @@ from geoalign.scenes import (
     LabelMap,
     NotEvaluableError,
     SceneSpec,
+    _dilate,
     class_mask_means,
     facade_heavy_spec,
     facade_width,
@@ -251,12 +252,53 @@ class TestRenderOblique:
         core = labels.labels[box.y + 2:box.y + box.h - 2, core_cols]
         assert np.all(core == Label.FACADE)
 
+    def test_sy_strip_is_the_sx_strip_of_the_transpose(self):
+        boxes = (Box(6, 20, 14, 9, 22.0), Box(30, 40, 10, 16, 31.0))
+        flipped = tuple(Box(b.y, b.x, b.h, b.w, b.height) for b in boxes)
+        for s in (0.05, -0.05):
+            dx, lx = render_oblique(SceneSpec(40.0, boxes, oblique_slope=(s, 0.0)))
+            dy, ly = render_oblique(SceneSpec(40.0, flipped, oblique_slope=(0.0, s)))
+            assert count(ly, Label.FACADE) > 0
+            assert np.array_equal(dy.values, dx.values.T)
+            assert np.array_equal(ly.labels, lx.labels.T)
+
+    def test_edge_band_wider_than_the_raster(self):
+        box = Box(1, 1, 2, 2, 5.0)
+        full = SceneSpec(40.0, (box,), oblique_slope=(0.1, 0.0), edge_band=66)
+        assert np.all(render_oblique(full)[1].labels == Label.EDGE)
+        # On a 4-row raster a band of 6 spans every row; along the rows it
+        # reaches 5 columns past the last transition (strip end | ground).
+        thin = SceneSpec(40.0, (box,), oblique_slope=(0.1, 0.0), raster=(4, 64),
+                         edge_band=6)
+        _, labels = render_oblique(thin)
+        reach = box.x + box.w + facade_width(box.height, (0.1, 0.0)) + 5
+        assert np.all(labels.labels[:, :reach + 1] == Label.EDGE)
+        assert np.all(labels.labels[:, reach + 1:] == Label.GROUND)
+        tall = SceneSpec(40.0, (box,), oblique_slope=(0.0, 0.1), raster=(64, 4),
+                         edge_band=6)
+        assert np.array_equal(render_oblique(tall)[1].labels, labels.labels.T)
+
     def test_deterministic(self):
         spec = facade_heavy_spec(5)
         d1, l1 = render_oblique(spec)
         d2, l2 = render_oblique(spec)
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(l1.labels, l2.labels)
+
+
+class TestDilate:
+    @pytest.mark.parametrize("shape", [(4, 64), (64, 4), (5, 7), (16, 16)])
+    def test_matches_window_any_oracle_at_every_radius(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * 100 + w)
+        for density in (0.02, 0.2):
+            mask = rng.random(shape) < density
+            for radius in range(2 * max(h, w) + 1):
+                want = np.array([[mask[max(0, i - radius):i + radius + 1,
+                                       max(0, j - radius):j + radius + 1].any()
+                                  for j in range(w)] for i in range(h)])
+                got = _dilate(mask, radius)
+                assert got.dtype == bool and np.array_equal(got, want), (density, radius)
 
 
 class TestPoolLabels:
