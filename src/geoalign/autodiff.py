@@ -33,7 +33,7 @@ class Tensor:
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor data must be finite")
         self.data = arr
         self.grad: Array | None = None
@@ -376,7 +376,13 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
         )
     k, d = kernel.size, kernel.dilation
     pad = (k // 2) * d
-    xp = np.pad(t.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    # Replicate padding as a clamped-index gather. One ``take`` per axis
+    # returns a C-contiguous copy, so the pullback's ``zeros_like(xp)`` and
+    # einsum sums run in the same order as on a padded copy; a one-step fancy
+    # index would return another layout and change the gradients' last bits.
+    rows = np.clip(np.arange(-pad, h + pad), 0, h - 1)
+    cols = np.clip(np.arange(-pad, w + pad), 0, w - 1)
+    xp = t.data.take(rows, axis=2).take(cols, axis=3)
 
     def tap(u: int, v: int) -> Array:
         return xp[:, :, u * d:u * d + h, v * d:v * d + w]

@@ -18,7 +18,7 @@ finite-difference noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,14 @@ REL_ERR_FLOOR = 1e-3
 _GRID = (8, 8)
 _CHANNELS = 4
 _POOL = 2
+# The per-geometry parts of ``_losses`` that a probe may leave unchanged, and
+# the parameter groups each one reads.
+_PART_GROUPS = {
+    "features": ("enc_dw1", "enc_pw2"),
+    "branches": ("enc_dw1", "enc_pw2", "mid_kernel", "far_kernel"),
+    "weights": ("head_weights", "head_bias"),
+    "mask": ("gate_gain", "gate_bias"),
+}
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,9 @@ class _Scenario:
     contrast_partition: ActivationPartition
     params: dict[str, Array]
     weights: LossWeights
+    # Parts computed from ``params`` itself, keyed by (part, geometry index).
+    # ``replace`` hands the same dict on, so it lives as long as the scenario.
+    prefix: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _build_scenario(seed: int) -> _Scenario | None:
@@ -132,6 +143,23 @@ def _build_scenario(seed: int) -> _Scenario | None:
     return replace(scenario, weights=LossWeights(margin=max(0.5, gap + 0.5)))
 
 
+def _part(scenario: _Scenario, params: dict, name: str, index: int, fn, *args):
+    """``fn(*args)``, computed once per scenario while every group it reads
+    ``is`` the scenario's own array.
+
+    A finite-difference probe copies the groups it leaves alone by reference,
+    so those parts are the same floats as the stored ones. Identity, not
+    ``id``, is compared: a freed probe array's ``id`` can come back. Taped
+    leaves are never the scenario's arrays, so the taped pass reuses nothing.
+    """
+    if any(params[g] is not scenario.params[g] for g in _PART_GROUPS[name]):
+        return fn(*args)
+    key = (name, index)
+    if key not in scenario.prefix:
+        scenario.prefix[key] = fn(*args)
+    return scenario.prefix[key]
+
+
 def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     fusion = FusionParams(
         mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
@@ -144,13 +172,14 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
     embeddings = []
     anchor_features = None
-    for geometry in scenario.geometries:
+    for i, geometry in enumerate(scenario.geometries):
         x = Tensor(geometry.stack)
-        features = encoder.forward(x)
-        branches = scale_branches(features, fusion)
-        weights = scale_weights(x, fusion)
+        features = _part(scenario, params, "features", i, encoder.forward, x)
+        branches = _part(scenario, params, "branches", i, scale_branches, features, fusion)
+        weights = _part(scenario, params, "weights", i, scale_weights, x, fusion)
         features = fuse(features, branches, weights)
-        features = modulate(features, geometry.mask_geometry.mask(gate))
+        mask = _part(scenario, params, "mask", i, geometry.mask_geometry.mask, gate)
+        features = modulate(features, mask)
         if anchor_features is None:
             anchor_features = features
         pooled = adaptive_avg_pool(features, _POOL, _POOL)

@@ -88,6 +88,8 @@ class SceneSpec:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         if self.edge_band < 1:
             raise ValueError(f"edge band must be >= 1, got {self.edge_band}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
         for i, box in enumerate(self.boxes):
             if box.x < 0 or box.y < 0 or box.x + box.w > w or box.y + box.h > h:
                 raise ValueError(f"box {i} leaves the {w}x{h} raster: {box}")

@@ -530,3 +530,54 @@ class TestConvProperty:
             lambda xt, kt: sum_all(
                 mul(conv2d(xt, Kernel2D(kt, dilation=dilation)), Tensor(weights))),
             [x, stencils])
+
+
+def padded_conv2d(x, stencils, dilation, g):
+    """conv2d in its earlier ``np.pad`` form: the output, and the input and
+    kernel gradients for the upstream gradient ``g``."""
+    b, c, h, w = x.shape
+    k = stencils.shape[-1]
+    d = dilation
+    pad = (k // 2) * d
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    out = np.zeros((b, c, h, w))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(stencils)
+    for u in range(k):
+        for v in range(k):
+            tap = xp[:, :, u * d:u * d + h, v * d:v * d + w]
+            coeff = stencils[:, u, v].reshape(1, c, 1, 1)
+            out += coeff * tap
+            gw[:, u, v] = np.einsum("bchw,bchw->c", g, tap)
+            gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff * g
+    # Fold the padded border's gradient back onto the edge rows, then columns.
+    rows = gxp[:, :, pad:pad + h, :].copy()
+    rows[:, :, 0, :] += gxp[:, :, :pad, :].sum(axis=2)
+    rows[:, :, -1, :] += gxp[:, :, pad + h:, :].sum(axis=2)
+    gx = rows[:, :, :, pad:pad + w].copy()
+    gx[:, :, :, 0] += rows[:, :, :, :pad].sum(axis=3)
+    gx[:, :, :, -1] += rows[:, :, :, pad + w:].sum(axis=3)
+    return out, gx, gw
+
+
+class TestConvMatchesPaddedForm:
+    """The clamped-index gather gives the padded form's floats, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(b=st.integers(1, 9), c=st.integers(1, 9), h=st.integers(1, 9),
+           w=st.integers(1, 9), k=st.sampled_from([1, 3, 5]),
+           dilation=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_output_and_gradients_are_bitwise_equal(self, b, c, h, w, k, dilation, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(b, c, h, w))
+        stencils = rng.normal(size=(c, k, k))
+        g = rng.normal(size=(b, c, h, w))
+        tape = Tape()
+        xt, kt = tape.leaf(x), tape.leaf(stencils)
+        out = conv2d(xt, Kernel2D(kt, dilation=dilation))
+        # sum_all passes back ones and 1.0 * g is g, so conv2d's pullback gets g.
+        tape.backward(sum_all(mul(out, Tensor(g))))
+        want_out, want_gx, want_gw = padded_conv2d(x, stencils, dilation, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == want_gx.tobytes()
+        assert kt.grad.tobytes() == want_gw.tobytes()

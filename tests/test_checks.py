@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from geoalign import checks, structure_filter
+from geoalign.autodiff import Tensor
 from geoalign.checks import LOSS_NAMES, PARAM_GROUPS, GradientCheck, _build_scenario, run_gradient_checks
 from geoalign.losses import partition_by_quantile
+from geoalign.retrieval import ToyEncoder
 
 
 class TestRunGradientChecks:
@@ -57,3 +60,68 @@ class TestRunGradientChecks:
             expected = partition_by_quantile(closed_form)
             assert np.array_equal(scenario.contrast_partition.stable, expected.stable)
             assert np.array_equal(scenario.contrast_partition.unstable, expected.unstable)
+
+
+def count_parts(monkeypatch):
+    """Count the calls of each part that ``_losses`` may reuse."""
+    counts = dict.fromkeys(("forward", "branches", "weights", "gate"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ToyEncoder, "forward", counted("forward", ToyEncoder.forward))
+    monkeypatch.setattr(checks, "scale_branches", counted("branches", checks.scale_branches))
+    monkeypatch.setattr(checks, "scale_weights", counted("weights", checks.scale_weights))
+    monkeypatch.setattr(structure_filter, "adaptive_gate",
+                        counted("gate", structure_filter.adaptive_gate))
+    return counts
+
+
+class TestProbeReuse:
+    """Probes reuse the parts their parameter change leaves alone."""
+
+    def test_reused_losses_equal_unshared_losses_bitwise(self, monkeypatch):
+        losses = checks._losses
+        calls = []
+
+        def recording(params, scenario):
+            values = losses(params, scenario)
+            calls.append((params, scenario, values))
+            return values
+
+        monkeypatch.setattr(checks, "_losses", recording)
+        run_gradient_checks(n_seeds=2)
+        monkeypatch.undo()
+        probes = [(p, s, v) for p, s, v in calls
+                  if not any(isinstance(a, Tensor) for a in p.values())]
+        # Per scenario: the margin probe and 40 finite-difference probes.
+        assert len(probes) == 2 * 41
+        for params, scenario, values in probes:
+            # Copies share no array with the scenario, so nothing is reused.
+            fresh = losses({g: a.copy() for g, a in params.items()}, scenario)
+            assert set(fresh) == set(values) == {*LOSS_NAMES, "activation_gap"}
+            for name in fresh:
+                assert values[name].data.tobytes() == fresh[name].data.tobytes()
+
+    def test_one_scenario_computes_each_part_as_often_as_predicted(self, monkeypatch):
+        counts = count_parts(monkeypatch)
+        run_gradient_checks(n_seeds=1)
+        # Three geometries per _losses call. Each part runs once per geometry
+        # in the margin probe, once in the taped pass and once in each of the
+        # probes that change it: 12 encoder, 24 branch, 12 head and 4 gate
+        # probes of 40. The gate also runs once for the contrast partition.
+        assert counts == {"forward": 42, "branches": 78, "weights": 42, "gate": 19}
+
+    def test_taped_pass_rebuilds_every_part(self, monkeypatch):
+        seeds = np.random.default_rng(0).integers(0, 2**31 - 1, size=4)
+        scenario = next(s for s in map(_build_scenario, map(int, seeds)) if s is not None)
+        stored = dict(scenario.prefix)
+        assert len(stored) == 4 * 3
+        counts = count_parts(monkeypatch)
+        checks._analytic_gradients(scenario)
+        assert counts == {"forward": 3, "branches": 3, "weights": 3, "gate": 3}
+        assert scenario.prefix.keys() == stored.keys()
+        assert all(scenario.prefix[key] is part for key, part in stored.items())

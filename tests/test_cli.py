@@ -350,6 +350,15 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    def test_negative_spec_seed_is_named(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "ground 40\nseed -1\n")
+        out = tmp_path / "out"
+        assert main(["synth", spec, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_repeated_synth_is_byte_identical(self, tmp_path):

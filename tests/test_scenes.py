@@ -67,6 +67,8 @@ class TestSpecValidation:
             SceneSpec(10.0, (), noise_sigma=-0.1)
         with pytest.raises(ValueError, match="edge band"):
             SceneSpec(10.0, (), edge_band=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SceneSpec(10.0, (), rng_seed=-1)
         with pytest.raises(ValueError, match="slope 1e\\+308 0.0 tilts the ground plane"):
             SceneSpec(10.0, (), oblique_slope=(1e308, 0.0))
         with pytest.raises(ValueError, match="on the 64x4 raster"):
