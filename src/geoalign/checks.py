@@ -94,7 +94,7 @@ class GradientCheck:
 
 @dataclass(frozen=True)
 class _Geometry:
-    stack: Array
+    stack: Tensor  # wrapped once per scenario; it has no tape, so no pass writes to it
     mask_geometry: MaskGeometry
 
 
@@ -115,7 +115,7 @@ def _build_scenario(seed: int) -> _Scenario | None:
     seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
     spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
     geometries = tuple(
-        _Geometry(standardize_stack(depth_feature_stack(depth, *_GRID)),
+        _Geometry(Tensor(standardize_stack(depth_feature_stack(depth, *_GRID))),
                   MaskGeometry.from_depth(align_depth(depth, *_GRID)))
         for depth in (render_oblique(spec_a)[0], render_ortho(spec_a)[0], render_ortho(spec_b)[0]))
     encoder = ToyEncoder.seeded(seed, channels=_CHANNELS)
@@ -173,7 +173,7 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     embeddings = []
     anchor_features = None
     for i, geometry in enumerate(scenario.geometries):
-        x = Tensor(geometry.stack)
+        x = geometry.stack
         features = _part(scenario, params, "features", i, encoder.forward, x)
         branches = _part(scenario, params, "branches", i, scale_branches, features, fusion)
         weights = _part(scenario, params, "weights", i, scale_weights, x, fusion)

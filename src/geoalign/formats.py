@@ -30,7 +30,7 @@ import tempfile
 import numpy as np
 
 from .autodiff import Array
-from .scenes import Box, Label, SceneSpec
+from .scenes import Box, Label, SceneSpec, check_spec_field
 
 DEPTH_MAGIC = b"GEOD"
 LABEL_MAGIC = b"GEOL"
@@ -223,6 +223,10 @@ def parse_scene_spec(text: str) -> SceneSpec:
             raise SpecFormatError(f"duplicate `{key}` line", line_no)
         values = _parse_numbers(parts, count, line_no, key, kind)
         fields[field] = values[0] if count == 1 else tuple(values)
+        try:
+            check_spec_field(field, fields[field])
+        except ValueError as exc:
+            raise SpecFormatError(str(exc), line_no) from None
     if "ground_depth" not in fields:
         raise SpecFormatError("missing required `ground` line")
     return SceneSpec(boxes=tuple(boxes), **fields)

@@ -60,6 +60,20 @@ class Box:
             raise ValueError(f"box height must be positive, got {self.height}")
 
 
+def check_spec_field(name: str, value) -> None:
+    """Raise ``ValueError`` if the ``SceneSpec`` field ``name`` breaks a rule
+    of its own. The rules that compare fields (the slope's tilt on the raster,
+    box bounds, box overlap) are checked by ``SceneSpec`` alone."""
+    if name == "raster" and min(value) < 4:
+        raise ValueError(f"raster too small: {value}")
+    if name == "noise_sigma" and value < 0.0:
+        raise ValueError(f"noise sigma must be >= 0, got {value}")
+    if name == "edge_band" and value < 1:
+        raise ValueError(f"edge band must be >= 1, got {value}")
+    if name == "rng_seed" and value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Complete description of a synthetic scene; rendering is a pure function
@@ -77,19 +91,13 @@ class SceneSpec:
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "oblique_slope",
                            (float(self.oblique_slope[0]), float(self.oblique_slope[1])))
+        for name in ("raster", "noise_sigma", "edge_band", "rng_seed"):
+            check_spec_field(name, getattr(self, name))
         h, w = self.raster
-        if h < 4 or w < 4:
-            raise ValueError(f"raster too small: {self.raster}")
         sx, sy = self.oblique_slope
         if not math.isfinite(abs(self.ground_depth) + abs(sx) * (w - 1) + abs(sy) * (h - 1)):
             raise ValueError(f"slope {sx} {sy} tilts the ground plane past the float64 "
                              f"range on the {w}x{h} raster")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
-        if self.edge_band < 1:
-            raise ValueError(f"edge band must be >= 1, got {self.edge_band}")
-        if self.rng_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
         for i, box in enumerate(self.boxes):
             if box.x < 0 or box.y < 0 or box.x + box.w > w or box.y + box.h > h:
                 raise ValueError(f"box {i} leaves the {w}x{h} raster: {box}")

@@ -244,6 +244,12 @@ def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Arr
     broadcast form's axis sum and member mean. (The expanded form
     ``|x|² - 2x·c + |c|²`` is not: it rounds differently and can flip an
     assignment on a near-tie.)
+
+    The assignment is a running minimum over the rows with no ``argmin`` and
+    no masked write: a point moves to row ``m`` only where ``d2[m]`` is
+    strictly below every earlier row, and ``m`` exceeds every earlier label,
+    so ``max(label, m * closer)`` relabels exactly those points. Distances are
+    finite and non-negative, so this is ``argmin``'s first-minimum rule.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -254,6 +260,8 @@ def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Arr
     columns = [np.ascontiguousarray(column) for column in points.T]
     d2 = np.empty((k, n))
     term = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    relabel = np.empty(n, dtype=np.intp)
     labels = np.zeros(n, dtype=int)
     for _ in range(LLOYD_ITERS):
         for m, centroid in enumerate(centroids):
@@ -261,7 +269,12 @@ def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Arr
             np.square(np.subtract(columns[0], centroid[0], out=row), out=row)
             for column, c in zip(columns[1:], centroid[1:]):
                 row += np.square(np.subtract(column, c, out=term), out=term)
-        new_labels = np.argmin(d2, axis=0)
+        best = d2[0]  # becomes the running minimum; d2 is refilled every step
+        new_labels = np.zeros(n, dtype=np.intp)
+        for m in range(1, k):
+            np.less(d2[m], best, out=closer)  # strict: a tie keeps the lower index
+            np.minimum(best, d2[m], out=best)
+            np.maximum(new_labels, np.multiply(closer, m, out=relabel), out=new_labels)
         sizes = np.bincount(new_labels, minlength=k)
         for j, column in enumerate(columns):
             np.divide(np.bincount(new_labels, weights=column, minlength=k), sizes,

@@ -356,7 +356,23 @@ class TestUsageErrors:
         assert main(["synth", spec, str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.err == "error: line 2: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("directive, message", [
+        ("edge-band 0", "edge band must be >= 1, got 0"),
+        ("noise -1", "noise sigma must be >= 0, got -1.0"),
+        ("raster 3 64", "raster too small: (3, 64)"),
+    ])
+    def test_single_field_spec_rule_names_its_line(self, tmp_path, capsys, directive,
+                                                   message):
+        spec = write_spec(tmp_path, f"ground 40\n{directive}\n")
+        out = tmp_path / "out"
+        assert main(["synth", spec, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: {message}\n"
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoalign.autodiff import Tape, Tensor, mul, sum_all
+from geoalign.scenes import facade_heavy_spec, render_oblique
 from geoalign.structure_filter import (
     SOBEL_X,
     SOBEL_Y,
@@ -234,6 +235,12 @@ def broadcast_lloyd(points, k, seed, iters=50):
     return centroids, labels, np.bincount(labels, minlength=k)
 
 
+def assert_same_clustering(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def grid_points(k, extra, distinct, jitter, data_seed):
     """``k + extra`` points drawn from ``distinct`` sites of a coarse decimal
     grid: exact duplicates and near-equal distances. ``jitter`` moves every
@@ -249,6 +256,8 @@ def grid_points(k, extra, distinct, jitter, data_seed):
 # Two sites for three clusters: the third k-means++ seed duplicates one of the
 # sites, loses every tie to the lower index and stays empty.
 EMPTIED = dict(k=3, seed=0, extra=5, distinct=2, jitter=False, data_seed=0)
+# One site for seven clusters: every row of every step ties on every point.
+ALL_TIED = dict(k=7, seed=0, extra=20, distinct=1, jitter=False, data_seed=0)
 
 
 class TestClusteringProperty:
@@ -259,14 +268,22 @@ class TestClusteringProperty:
            distinct=st.integers(1, 12), jitter=st.booleans(),
            data_seed=st.integers(0, 2**32 - 1))
     @example(**EMPTIED)
+    @example(**ALL_TIED)
     def test_matches_broadcast_lloyd_bit_for_bit(self, k, seed, extra, distinct,
                                                  jitter, data_seed):
         points = grid_points(k, extra, distinct, jitter, data_seed)
-        got = cluster_normals(points, k, seed)
-        want = broadcast_lloyd(points, k, seed)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w)
+        assert_same_clustering(cluster_normals(points, k, seed),
+                               broadcast_lloyd(points, k, seed))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_matches_broadcast_lloyd_on_a_128px_render(self, k):
+        # ~14k flat normals, so NumPy's vector loops run at full width and not
+        # only through the remainder paths that the small sets above reach.
+        depth, _ = render_oblique(facade_heavy_spec(0, raster=(128, 128)))
+        gx, gy = macro_gradient(depth, FilterConfig().gradient_dilation)
+        flat = compute_normals(gx, gy).normals[partition_edges(gx, gy).flat_mask]
+        assert len(flat) > 10_000
+        assert_same_clustering(cluster_normals(flat, k, 0), broadcast_lloyd(flat, k, 0))
 
     def test_explicit_example_empties_a_cluster(self):
         e = EMPTIED
