@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# Run one list of geoalign commands against two source trees and fail unless
+# every output byte matches.
+#
+#   scripts/compare_outputs.sh BASE_TREE HEAD_TREE [WORK_DIR]
+#
+# Each tree is a checkout of this repository; its package is imported from
+# <tree>/src. The commands cover the default outputs of every subcommand:
+# synth (README spec, both views), mask (default flags and one non-default
+# set), eval, bench and gradcheck. Outputs land in WORK_DIR/base and
+# WORK_DIR/head (default: a new temporary directory), which end in `diff -r`.
+set -euo pipefail
+
+if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
+  echo "usage: $0 BASE_TREE HEAD_TREE [WORK_DIR]" >&2
+  exit 2
+fi
+base_tree=$(cd "$1" && pwd)
+head_tree=$(cd "$2" && pwd)
+work=${3:-$(mktemp -d)}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+
+run_commands() {
+  local tree=$1 out=$2
+  rm -rf "$out"
+  mkdir -p "$out"
+  (
+    cd "$out"
+    export PYTHONPATH="$tree/src"
+    echo "$(basename "$out"): $(python -c 'import geoalign; print(geoalign.__file__)')"
+    printf '%s\n' 'ground 40.0' 'slope -0.03 0.025' 'raster 64 64' 'noise 0.02' 'seed 2' \
+      'box 6 6 20 20 32.0' 'box 36 10 18 14 25.0' 'box 10 38 16 18 30.0' > city.spec
+    python -m geoalign synth city.spec out --view ortho > synth_ortho.txt
+    python -m geoalign synth city.spec out --view oblique > synth_oblique.txt
+    python -m geoalign mask out/oblique.depth.geod out/default > mask_default.txt
+    python -m geoalign mask out/oblique.depth.geod out/flags \
+      --k 5 --seed 3 --dilation 1 --tau-q 0.5 > mask_flags.txt
+    python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
+    python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
+    python -m geoalign gradcheck --seed 0 > gradcheck.txt
+  )
+}
+
+run_commands "$base_tree" "$work/base"
+run_commands "$head_tree" "$work/head"
+diff -r "$work/base" "$work/head"
+echo "outputs match: $(find "$work/head" -type f | wc -l) files in $work"

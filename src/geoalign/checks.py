@@ -3,8 +3,8 @@
 For a batch of seeded scenes the harness builds the full differentiable
 path — encoder, scale fusion, geometric gate, feature modulation — down to
 three scalar losses (activation contrast, soft-margin triplet, and their
-weighted total), then compares analytic gradients against central finite
-differences at sampled coordinates of each parameter group.
+sum), then compares analytic gradients against central finite differences
+at sampled coordinates of each parameter group.
 
 Two things are deliberately frozen per scene so the compared function is
 smooth: the depth-derived ``MaskGeometry`` (edge set, dominant normal,
@@ -36,7 +36,6 @@ from .autodiff import (
 )
 from .losses import (
     ActivationPartition,
-    LossWeights,
     activation_map,
     aggregate_activation,
     contrast_hinge,
@@ -104,7 +103,7 @@ class _Scenario:
     geometries: tuple[_Geometry, _Geometry, _Geometry]
     contrast_partition: ActivationPartition
     params: dict[str, Array]
-    weights: LossWeights
+    margin: float  # of the contrast hinge
     # Parts computed from ``params`` itself, keyed by (part, geometry index).
     # ``replace`` hands the same dict on, so it lives as long as the scenario.
     prefix: dict = field(default_factory=dict, compare=False, repr=False)
@@ -133,14 +132,13 @@ def _build_scenario(seed: int) -> _Scenario | None:
     contrast_partition = partition_by_quantile(geometries[0].mask_geometry.mask(baseline_gate))
     if contrast_partition.n_stable == 0 or contrast_partition.n_unstable == 0:
         return None
-    scenario = _Scenario(encoder, geometries, contrast_partition, params,
-                         LossWeights())
+    scenario = _Scenario(encoder, geometries, contrast_partition, params, margin=0.5)
     # Stable regions out-activate unstable ones at the default margin, which
     # would park the contrast hinge at zero and reduce its gradient check to
     # 0 == 0. Raise the margin until the hinge is active with 0.5 of slack, so
     # the compared gradients are the real ones.
     gap = float(_losses(params, scenario)["activation_gap"].data)
-    return replace(scenario, weights=LossWeights(margin=max(0.5, gap + 0.5)))
+    return replace(scenario, margin=max(0.5, gap + 0.5))
 
 
 def _part(scenario: _Scenario, params: dict, name: str, index: int, fn, *args):
@@ -167,8 +165,7 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
         head_weights=_as_tensor(params["head_weights"]),
         head_bias=_as_tensor(params["head_bias"]),
     )
-    gate = GateParams(gain=_as_tensor(params["gate_gain"]),
-                      bias=_as_tensor(params["gate_bias"]))
+    gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
     encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
     embeddings = []
     anchor_features = None
@@ -188,12 +185,12 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     v_stable, v_unstable = aggregate_activation(
         activation_map(anchor_features), scenario.contrast_partition
     )
-    contrast = contrast_hinge(v_stable, v_unstable, scenario.weights.margin)
-    triplet = soft_margin_triplet(*embeddings, scenario.weights.triplet_scale)
+    contrast = contrast_hinge(v_stable, v_unstable, scenario.margin)
+    triplet = soft_margin_triplet(*embeddings)
     return {
         "contrast": contrast,
         "triplet": triplet,
-        "total": total_loss(triplet, contrast, scenario.weights),
+        "total": total_loss(triplet, contrast),
         "activation_gap": add(v_stable, mul(v_unstable, -1.0)),
     }
 

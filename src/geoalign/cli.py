@@ -90,19 +90,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    raster = read_f64_raster(args.depth_file)
-    try:
-        depth = DepthMap(raster)
-    except ValueError as exc:
-        raise ValueError(f"{args.depth_file}: {exc}") from None
     config = FilterConfig(
         gradient_dilation=args.dilation,
         edge_quantile=args.tau_q,
         clusters=args.k,
         cluster_seed=args.seed,
     )
-    # The raster is already at its own resolution, so there is nothing to pool.
-    geometry = MaskGeometry.from_depth(depth, config)
+    raster = read_f64_raster(args.depth_file)
+    try:
+        # The raster is already at its own resolution, so there is nothing to pool.
+        geometry = MaskGeometry.from_depth(DepthMap(raster), config)
+    except ValueError as exc:
+        raise ValueError(f"{args.depth_file}: {exc}") from None
     try:
         with np.errstate(over="ignore"):
             values = geometry.mask(GateParams(gain=args.alpha, bias=args.beta)).values

@@ -31,6 +31,10 @@ from .autodiff import (
 )
 from .structure_filter import GeoMask
 
+# Sharpness of the soft-margin triplet: the squared-distance gap is scaled by
+# this before the softplus.
+TRIPLET_SCALE = 10.0
+
 
 class EmptyPartitionError(ValueError):
     """Raised when a quantile partition leaves one of the regions empty."""
@@ -60,21 +64,6 @@ class ActivationPartition:
     @property
     def n_unstable(self) -> int:
         return int(self.unstable.sum())
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    contrast_weight: float = 1.0
-    margin: float = 0.5
-    triplet_scale: float = 10.0
-
-    def __post_init__(self):
-        if self.contrast_weight < 0.0:
-            raise ValueError(f"contrast weight must be >= 0, got {self.contrast_weight}")
-        if self.margin < 0.0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
-        if self.triplet_scale <= 0.0:
-            raise ValueError(f"triplet scale must be > 0, got {self.triplet_scale}")
 
 
 def partition_by_quantile(mask, q_high: float = 0.7,
@@ -141,31 +130,25 @@ class ContrastReport:
 
     v_stable: float
     v_unstable: float
-    margin: float
     loss: float
     evaluable: bool
 
 
-def activation_contrast_loss(features: Tensor, mask,
-                             weights: LossWeights = LossWeights(),
-                             q_high: float = 0.7,
-                             q_low: float = 0.3) -> tuple[Tensor, ContrastReport]:
+def activation_contrast_loss(features: Tensor, mask) -> tuple[Tensor, ContrastReport]:
     """Full pipeline: partition the mask, contrast region activations.
 
     An empty region contributes zero loss rather than an error, so degenerate
     masks (e.g. constant) are safe inside a training loop.
     """
-    partition = partition_by_quantile(mask, q_high=q_high, q_low=q_low)
+    partition = partition_by_quantile(mask)
     act = activation_map(features)
     try:
         v_stable, v_unstable = aggregate_activation(act, partition)
     except EmptyPartitionError:
-        zero = Tensor(0.0)
-        return zero, ContrastReport(float("nan"), float("nan"),
-                                    weights.margin, 0.0, evaluable=False)
-    loss = contrast_hinge(v_stable, v_unstable, weights.margin)
-    return loss, ContrastReport(v_stable.item(), v_unstable.item(),
-                                weights.margin, loss.item(), evaluable=True)
+        return Tensor(0.0), ContrastReport(float("nan"), float("nan"), 0.0, evaluable=False)
+    loss = contrast_hinge(v_stable, v_unstable)
+    return loss, ContrastReport(v_stable.item(), v_unstable.item(), loss.item(),
+                                evaluable=True)
 
 
 def _check_unit(name: str, v: Tensor) -> None:
@@ -176,15 +159,12 @@ def _check_unit(name: str, v: Tensor) -> None:
         raise ValueError(f"{name} must be unit length, got norm {norm!r}")
 
 
-def soft_margin_triplet(anchor: Tensor, positive: Tensor, negative: Tensor,
-                        scale: float = 10.0) -> Tensor:
-    """log(1 + exp(scale * (d_pos - d_neg))) on unit embeddings.
+def soft_margin_triplet(anchor: Tensor, positive: Tensor, negative: Tensor) -> Tensor:
+    """log(1 + exp(TRIPLET_SCALE * (d_pos - d_neg))) on unit embeddings.
 
     Distances are squared Euclidean; non-normalized inputs are rejected so the
     distance scale stays comparable across batches.
     """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
     for name, v in (("anchor", anchor), ("positive", positive), ("negative", negative)):
         _check_unit(name, v)
     if not anchor.shape == positive.shape == negative.shape:
@@ -194,10 +174,9 @@ def soft_margin_triplet(anchor: Tensor, positive: Tensor, negative: Tensor,
     d_pos = sum_all(mul(diff_pos, diff_pos))
     d_neg = sum_all(mul(diff_neg, diff_neg))
     gap = add(d_pos, mul(d_neg, -1.0))
-    return log1p_exp(mul(gap, float(scale)))
+    return log1p_exp(mul(gap, TRIPLET_SCALE))
 
 
-def total_loss(triplet: Tensor, contrast: Tensor,
-               weights: LossWeights = LossWeights()) -> Tensor:
-    """triplet + contrast_weight * contrast."""
-    return add(triplet, mul(contrast, weights.contrast_weight))
+def total_loss(triplet: Tensor, contrast: Tensor) -> Tensor:
+    """triplet + contrast."""
+    return add(triplet, contrast)

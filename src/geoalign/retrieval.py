@@ -43,7 +43,7 @@ from .scale_fusion import (
     scale_weights,
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import DepthMap, FilterConfig, GateParams, modulate, structure_mask
+from .structure_filter import DepthMap, FilterConfig, modulate, structure_mask
 
 ARMS = ("base", "mgsa", "mgsf", "full")
 FEATURE_GRID = (16, 16)
@@ -124,14 +124,13 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
 
 
 def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
-          fusion: FusionParams | None = None,
-          gate: GateParams | None = None) -> list[Tensor]:
+          fusion: FusionParams | None = None) -> list[Tensor]:
     """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
     pair in ``arm_parts``.
 
     The depth map is plane-detrended, reduced to fixed derived channels and
     encoded; the features are optionally fused across scales and optionally
-    modulated by the geometric mask, then globally average-pooled to one
+    modulated by the geometric mask under the default gate, then globally average-pooled to one
     value per channel. The mask is computed from the original depth map —
     handling oblique geometry is its job — while the encoder sees the
     detrended one. The encoder, the fusion and the mask each run at most once
@@ -143,7 +142,7 @@ def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, 
     if any(fused for fused, _ in arm_parts):
         fused_features = fuse(plain, scale_branches(plain, fusion), scale_weights(stack, fusion))
     if any(masked for _, masked in arm_parts):
-        mask = structure_mask(depth, *FEATURE_GRID, gate, ARM_FILTER_CONFIG)
+        mask = structure_mask(depth, *FEATURE_GRID, cfg=ARM_FILTER_CONFIG)
     embeddings = []
     for fused, masked in arm_parts:
         features = fused_features if fused else plain
@@ -227,9 +226,9 @@ def run_experiment(
     gallery_depths = [render_ortho(spec)[0] for spec in specs]
     query_depths = [render_oblique(spec)[0] for spec in specs]
     encoder = ToyEncoder.seeded(seed=seed, channels=channels)
-    fusion, gate = FusionParams.smoothing(channels, seed=seed), GateParams()
+    fusion = FusionParams.smoothing(channels, seed=seed)
     gallery_rows, query_rows = (
-        [embed(d, encoder, arm_parts, fusion, gate) for d in depths]
+        [embed(d, encoder, arm_parts, fusion) for d in depths]
         for depths in (gallery_depths, query_depths))
     reports: dict[str, RetrievalReport] = {}
     for k, arm in enumerate(arms):

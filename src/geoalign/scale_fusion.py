@@ -39,25 +39,6 @@ MID_DILATION = 2
 FAR_DILATION = 4
 
 
-@dataclass
-class ScaleBranches:
-    """The three scale views; ``near`` is the untouched input feature map."""
-
-    near: Tensor
-    mid: Tensor
-    far: Tensor
-
-    def __post_init__(self):
-        if not (self.near.shape == self.mid.shape == self.far.shape):
-            raise ValueError(
-                f"branch shapes differ: {self.near.shape}, {self.mid.shape}, "
-                f"{self.far.shape}"
-            )
-
-    def __iter__(self):
-        return iter((self.near, self.mid, self.far))
-
-
 class ScaleWeights:
     """Per-pixel convex weights over the three scales, shape (B, 3, 1, H, W)."""
 
@@ -130,15 +111,12 @@ class FusionParams:
         )
 
 
-def scale_branches(features: Tensor, params: FusionParams) -> ScaleBranches:
-    """Near/mid/far views: identity, dilation-2 and dilation-4 smoothings."""
+def scale_branches(features: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
+    """The mid and far views: dilation-2 and dilation-4 smoothings. The near
+    view is ``features`` itself."""
     if features.data.ndim != 4:
         raise ValueError(f"features must be 4-d, got shape {features.shape}")
-    return ScaleBranches(
-        near=features,
-        mid=conv2d(features, params.mid_kernel),
-        far=conv2d(features, params.far_kernel),
-    )
+    return conv2d(features, params.mid_kernel), conv2d(features, params.far_kernel)
 
 
 def scale_weights(depth_features: Tensor, params: FusionParams) -> ScaleWeights:
@@ -161,19 +139,21 @@ def scale_weights(depth_features: Tensor, params: FusionParams) -> ScaleWeights:
     return ScaleWeights(w5)
 
 
-def fuse(features: Tensor, branches: ScaleBranches, weights: ScaleWeights) -> Tensor:
-    """Residual weighted blend: f + sum_s w_s * branch_s."""
+def fuse(features: Tensor, branches: tuple[Tensor, Tensor], weights: ScaleWeights) -> Tensor:
+    """Residual weighted blend over the near (``features``), mid and far
+    views: f + sum_s w_s * branch_s."""
     b, c, h, w = features.data.shape
     if weights.shape != (b, 3, 1, h, w):
         raise ValueError(
             f"weights {weights.shape} do not match features {features.shape}"
         )
-    if branches.near.shape != features.shape:
-        raise ValueError(
-            f"branches {branches.near.shape} do not match features {features.shape}"
-        )
+    for branch in branches:
+        if branch.shape != features.shape:
+            raise ValueError(
+                f"branch {branch.shape} does not match features {features.shape}"
+            )
     out = features
-    for s, branch in enumerate(branches):
+    for s, branch in enumerate((features, *branches)):
         w_s = select_index(weights.weights, axis=1, index=s)  # (B, 1, H, W)
         out = add(out, mul(w_s, branch))
     return out

@@ -150,14 +150,8 @@ def render_ortho(spec: SceneSpec) -> tuple[DepthMap, LabelMap]:
     """Straight-down view: rooftops and ground only, with a one-pixel EDGE
     ring just outside each footprint marking the depth discontinuity."""
     depth, labels = _base_scene(spec)
-    h, w = spec.raster
-    for box in spec.boxes:
-        y0, y1 = max(box.y - 1, 0), min(box.y + box.h + 1, h)
-        x0, x1 = max(box.x - 1, 0), min(box.x + box.w + 1, w)
-        ring = np.zeros((h, w), dtype=bool)
-        ring[y0:y1, x0:x1] = True
-        ring[box.y:box.y + box.h, box.x:box.x + box.w] = False
-        labels[ring & (labels != Label.ROOF)] = Label.EDGE
+    roof = labels == Label.ROOF
+    labels[_dilate(roof, 1) & ~roof] = Label.EDGE
     return DepthMap(_add_noise(depth, spec)), LabelMap(labels)
 
 

@@ -108,7 +108,7 @@ class EdgePartition:
         return int((~self.edge_mask).sum())
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateParams:
     """Sigmoid gate sigma(gain * consistency + bias); both terms learnable."""
 

@@ -114,7 +114,8 @@ class TestMask:
         (np.where(np.arange(256).reshape(16, 16) == 37, np.nan, 40.0),
          "depth must be finite"),
         (np.full((2, 2), 40.0), "depth raster too small: (2, 2)"),
-    ], ids=["one_nan", "two_by_two"])
+        (np.full((4, 4), 40.0), "raster (4, 4) smaller than the 5 pixel stencil"),
+    ], ids=["one_nan", "two_by_two", "four_by_four"])
     def test_unusable_depth_raster_is_named(self, tmp_path, capsys, raster, message):
         depth = str(tmp_path / "bad.geod")
         write_f64_raster(depth, raster)

@@ -7,9 +7,9 @@ import pytest
 
 from geoalign.autodiff import Tape, Tensor, l2_normalize
 from geoalign.losses import (
+    TRIPLET_SCALE,
     ActivationPartition,
     EmptyPartitionError,
-    LossWeights,
     activation_contrast_loss,
     activation_map,
     aggregate_activation,
@@ -186,40 +186,38 @@ class TestActivationContrastLoss:
 
 
 class TestSoftMarginTriplet:
-    def test_equal_distances_cost_log_two_at_any_scale(self):
+    def test_equal_distances_cost_log_two(self):
         anchor = unit([1.0, 0.0, 0.0])
         other = unit([0.0, 1.0, 0.0])
-        for scale in (0.5, 1.0, 10.0, 100.0):
-            loss = soft_margin_triplet(anchor, other, other, scale=scale)
-            assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+        loss = soft_margin_triplet(anchor, other, other)
+        assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_perfect_triplet_at_unit_scale(self):
+    def test_perfect_triplet(self):
         anchor = unit([1.0, 0.0])
         negative = unit([0.0, 1.0])
-        loss = soft_margin_triplet(anchor, anchor, negative, scale=1.0)
-        assert loss.item() == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
-        assert loss.item() == pytest.approx(0.126928, abs=1e-6)
+        loss = soft_margin_triplet(anchor, anchor, negative)
+        assert TRIPLET_SCALE == 10.0
+        assert loss.item() == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-12)
+        assert loss.item() == pytest.approx(2.061153620314381e-09, rel=1e-12)
 
-    def test_inverted_triplet_at_unit_scale(self):
+    def test_inverted_triplet(self):
         anchor = unit([1.0, 0.0])
         positive = unit([0.0, 1.0])
-        loss = soft_margin_triplet(anchor, positive, anchor, scale=1.0)
-        assert loss.item() == pytest.approx(math.log(1.0 + math.exp(2.0)), abs=1e-12)
-        assert loss.item() == pytest.approx(2.126928, abs=1e-6)
+        loss = soft_margin_triplet(anchor, positive, anchor)
+        assert loss.item() == pytest.approx(20.0 + math.log1p(math.exp(-20.0)), abs=1e-12)
+        assert loss.item() == pytest.approx(20.000000002061153, abs=1e-12)
 
     def test_rejects_non_unit_embeddings(self):
         anchor = unit([1.0, 0.0])
         with pytest.raises(ValueError, match="positive.*unit length"):
             soft_margin_triplet(anchor, Tensor([2.0, 0.0]), anchor)
 
-    def test_rejects_bad_shapes_and_scale(self):
+    def test_rejects_bad_shapes(self):
         anchor = unit([1.0, 0.0])
         with pytest.raises(ValueError, match="1-d"):
             soft_margin_triplet(anchor, Tensor(np.eye(2)), anchor)
         with pytest.raises(ValueError, match="share a shape"):
             soft_margin_triplet(anchor, unit([0.0, 1.0]), unit([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="scale"):
-            soft_margin_triplet(anchor, anchor, anchor, scale=0.0)
 
     def test_gradient_pulls_anchor_toward_positive(self):
         tape = Tape()
@@ -237,21 +235,6 @@ class TestSoftMarginTriplet:
 
 class TestTotalLoss:
     def test_weighted_sum(self):
-        out = total_loss(Tensor(math.log(2.0)), Tensor(0.4),
-                         LossWeights(contrast_weight=1.0))
-        assert out.item() == pytest.approx(math.log(2.0) + 0.4, abs=1e-15)
+        out = total_loss(Tensor(math.log(2.0)), Tensor(0.4))
+        assert out.item() == math.log(2.0) + 0.4
         assert out.item() == pytest.approx(1.0931, abs=1e-4)
-
-    def test_zero_weight_reduces_to_triplet_bit_for_bit(self):
-        triplet = Tensor(0.7310585786300049)
-        out = total_loss(triplet, Tensor(123.456),
-                         LossWeights(contrast_weight=0.0))
-        assert np.array_equal(out.data, triplet.data)
-
-    def test_weights_validation(self):
-        with pytest.raises(ValueError, match="contrast weight"):
-            LossWeights(contrast_weight=-0.1)
-        with pytest.raises(ValueError, match="margin"):
-            LossWeights(margin=-1.0)
-        with pytest.raises(ValueError, match="scale"):
-            LossWeights(triplet_scale=0.0)

@@ -47,18 +47,18 @@ def scene_depth(seed):
 
 
 def arm_inputs(arm, channels, seed=0):
-    """The fusion and gate ``run_experiment`` gives ``arm``; None where unused."""
+    """The fusion ``run_experiment`` gives ``arm`` (None where unused), and
+    whether the arm is masked."""
     fused, masked = retrieval._arm_parts(arm)
-    return (FusionParams.smoothing(channels, seed=seed) if fused else None,
-            GateParams() if masked else None)
+    return FusionParams.smoothing(channels, seed=seed) if fused else None, masked
 
 
-def embed_arm(depth, encoder, fusion=None, gate=None):
-    """``embed`` for the one arm that uses exactly the given fusion and gate."""
-    return embed(depth, encoder, [(fusion is not None, gate is not None)], fusion, gate)[0]
+def embed_arm(depth, encoder, fusion=None, masked=False):
+    """``embed`` for the one arm that uses exactly the given fusion and mask."""
+    return embed(depth, encoder, [(fusion is not None, masked)], fusion)[0]
 
 
-def embed_one_arm(depth, encoder, fusion=None, gate=None):
+def embed_one_arm(depth, encoder, fusion=None, masked=False):
     """The embedding chain of one arm on its own, recomputing every stage."""
     h, w = FEATURE_GRID
     stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), h, w)))
@@ -66,8 +66,8 @@ def embed_one_arm(depth, encoder, fusion=None, gate=None):
     if fusion is not None:
         features = fuse(features, scale_branches(features, fusion),
                         scale_weights(stack, fusion))
-    if gate is not None:
-        features = modulate(features, structure_mask(depth, h, w, gate, ARM_FILTER_CONFIG))
+    if masked:
+        features = modulate(features, structure_mask(depth, h, w, GateParams(), ARM_FILTER_CONFIG))
     pooled = adaptive_avg_pool(features, 1, 1)
     return l2_normalize(reshape(pooled, (encoder.channels,)))
 
@@ -131,16 +131,16 @@ class TestEmbed:
         depth = scene_depth(0)
         enc = ToyEncoder.seeded(channels=16)
         for arm in ARMS:
-            fusion, gate = arm_inputs(arm, 16)
-            e = embed_arm(depth, enc, fusion=fusion, gate=gate).data
+            fusion, masked = arm_inputs(arm, 16)
+            e = embed_arm(depth, enc, fusion=fusion, masked=masked).data
             assert e.shape == (16,)
             assert abs(np.linalg.norm(e) - 1.0) < 1e-12
 
     def test_deterministic(self):
         depth = scene_depth(1)
         enc = ToyEncoder.seeded(channels=8)
-        a = embed_arm(depth, enc, gate=GateParams()).data
-        b = embed_arm(depth, enc, gate=GateParams()).data
+        a = embed_arm(depth, enc, masked=True).data
+        b = embed_arm(depth, enc, masked=True).data
         assert np.array_equal(a, b)
 
     def test_different_scenes_embed_differently(self):
@@ -157,25 +157,24 @@ class TestEmbed:
             ortho = render_ortho(spec)[0]
             oblique = render_oblique(spec)[0]
             plain = float(embed_arm(ortho, enc).data @ embed_arm(oblique, enc).data)
-            gate = GateParams()
-            masked = float(embed_arm(ortho, enc, gate=gate).data
-                           @ embed_arm(oblique, enc, gate=gate).data)
+            masked = float(embed_arm(ortho, enc, masked=True).data
+                           @ embed_arm(oblique, enc, masked=True).data)
             gains.append(masked - plain)
         assert float(np.mean(gains)) >= 0.0
 
     def test_shared_arms_are_byte_equal_to_each_arm_alone(self):
         enc = ToyEncoder.seeded(seed=1, channels=16)
-        fusion, gate = FusionParams.smoothing(16, seed=1), GateParams()
+        fusion = FusionParams.smoothing(16, seed=1)
         parts = [(False, False), (True, False), (False, True), (True, True)]  # ARMS order
         for seed in range(3):
             spec = facade_heavy_spec(seed)
             for depth in (render_ortho(spec)[0], render_oblique(spec)[0]):
-                shared = embed(depth, enc, parts, fusion, gate)
+                shared = embed(depth, enc, parts, fusion)
                 for arm, e in zip(ARMS, shared):
-                    f, g = arm_inputs(arm, 16, seed=1)
-                    alone = embed_arm(depth, enc, fusion=f, gate=g).data.tobytes()
+                    f, m = arm_inputs(arm, 16, seed=1)
+                    alone = embed_arm(depth, enc, fusion=f, masked=m).data.tobytes()
                     assert e.data.tobytes() == alone, arm
-                    assert embed_one_arm(depth, enc, f, g).data.tobytes() == alone, arm
+                    assert embed_one_arm(depth, enc, f, m).data.tobytes() == alone, arm
 
     def test_arm_filter_config_uses_single_dilation_wide_edge_band(self):
         assert ARM_FILTER_CONFIG.gradient_dilation == 1

@@ -9,7 +9,6 @@ from geoalign.scale_fusion import (
     FAR_DILATION,
     MID_DILATION,
     FusionParams,
-    ScaleBranches,
     ScaleWeights,
     depth_feature_stack,
     fuse,
@@ -71,10 +70,9 @@ class TestScaleBranches:
     def test_delta_kernels_reproduce_input_on_every_branch(self):
         rng = np.random.default_rng(1)
         f = Tensor(rng.normal(size=(2, 4, 8, 8)))
-        branches = scale_branches(f, identity_fusion(4))
-        assert branches.near is f
-        assert np.array_equal(branches.mid.data, f.data)
-        assert np.array_equal(branches.far.data, f.data)
+        mid, far = scale_branches(f, identity_fusion(4))
+        assert np.array_equal(mid.data, f.data)
+        assert np.array_equal(far.data, f.data)
 
     def test_zero_sum_kernel_zeroes_constant_features(self):
         f = Tensor(np.full((1, 2, 8, 8), 5.0))
@@ -86,8 +84,8 @@ class TestScaleBranches:
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor(np.zeros(3)),
         )
-        branches = scale_branches(f, params)
-        assert np.array_equal(branches.mid.data, np.zeros_like(f.data))
+        mid, _ = scale_branches(f, params)
+        assert np.array_equal(mid.data, np.zeros_like(f.data))
 
     def test_scaled_sobel_recovers_ramp_slope_in_interior(self):
         slope = 0.75
@@ -100,14 +98,8 @@ class TestScaleBranches:
             head_weights=Tensor(np.zeros((3, 3))),
             head_bias=Tensor(np.zeros(3)),
         )
-        interior = scale_branches(f, params).mid.data[:, :, :, 2:-2]
+        interior = scale_branches(f, params)[0].data[:, :, :, 2:-2]
         assert np.max(np.abs(interior - slope)) < 1e-12
-
-    def test_branch_shapes_must_agree(self):
-        with pytest.raises(ValueError, match="branch shapes differ"):
-            ScaleBranches(Tensor(np.zeros((1, 2, 4, 4))),
-                          Tensor(np.zeros((1, 2, 4, 4))),
-                          Tensor(np.zeros((1, 2, 5, 4))))
 
     def test_features_must_be_4d(self):
         with pytest.raises(ValueError, match="4-d"):
@@ -195,18 +187,23 @@ class TestFuse:
         rng = np.random.default_rng(3)
         f = Tensor(rng.normal(size=(1, 4, 8, 8)))
         zeros = Tensor(np.zeros_like(f.data))
-        branches = ScaleBranches(near=f, mid=zeros, far=zeros)
         weights = scale_weights(random_stack(3), identity_fusion(4))
-        fused = fuse(f, branches, weights)
+        fused = fuse(f, (zeros, zeros), weights)
         assert np.max(np.abs(fused.data - (f.data + f.data / 3.0))) < 1e-12
 
-    def test_all_zero_branches_return_features_bit_for_bit(self):
+    def test_zero_branches_under_zero_near_weight_return_features_bit_for_bit(self):
         rng = np.random.default_rng(4)
         f = Tensor(rng.normal(size=(1, 4, 8, 8)))
         zeros = Tensor(np.zeros_like(f.data))
-        branches = ScaleBranches(near=zeros, mid=zeros, far=zeros)
-        weights = scale_weights(random_stack(4), FusionParams.smoothing(4))
-        fused = fuse(f, branches, weights)
+        params = FusionParams(
+            mid_kernel=delta_kernel(3, 4, dilation=MID_DILATION),
+            far_kernel=delta_kernel(3, 4, dilation=FAR_DILATION),
+            head_weights=Tensor(np.zeros((3, 3))),
+            head_bias=Tensor([-1000.0, 0.0, 0.0]),
+        )
+        weights = scale_weights(random_stack(4), params)
+        assert np.array_equal(weights.weights.data[0, 0], np.zeros((1, 8, 8)))
+        fused = fuse(f, (zeros, zeros), weights)
         assert np.array_equal(fused.data, f.data)
 
     def test_blend_stays_in_branch_convex_hull(self):
@@ -217,7 +214,7 @@ class TestFuse:
             branches = scale_branches(f, params)
             weights = scale_weights(random_stack(seed), params)
             fused = fuse(f, branches, weights)
-            stacked = np.stack([b.data for b in branches])
+            stacked = np.stack([b.data for b in (f, *branches)])
             blend = fused.data - f.data
             assert np.all(blend >= stacked.min(axis=0) - 1e-9)
             assert np.all(blend <= stacked.max(axis=0) + 1e-9)
@@ -237,6 +234,14 @@ class TestFuse:
         weights = scale_weights(random_stack(0), params)  # 8x8 grid
         with pytest.raises(ValueError, match="do not match"):
             fuse(f, scale_branches(f, params), weights)
+
+    def test_branch_shapes_must_match_features(self):
+        f = Tensor(np.zeros((1, 4, 8, 8)))
+        weights = scale_weights(random_stack(0), identity_fusion(4))
+        same, other = Tensor(np.zeros((1, 4, 8, 8))), Tensor(np.zeros((1, 2, 8, 8)))
+        for branches in ((same, other), (other, same)):
+            with pytest.raises(ValueError, match=r"branch \(1, 2, 8, 8\) does not match"):
+                fuse(f, branches, weights)
 
     def test_gradient_reaches_head_and_kernels(self):
         tape = Tape()

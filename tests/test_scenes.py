@@ -109,6 +109,22 @@ class TestRenderOrtho:
         assert labels.labels[0, 0] == Label.ROOF
         assert count(labels, Label.EDGE) == 9  # an L of 4 + 4 + 1 cells
 
+    def test_rings_never_overwrite_a_touching_neighbours_roof(self):
+        edge_pair = (Box(2, 2, 4, 4, 5.0), Box(6, 3, 3, 5, 7.0))  # share a side
+        corner_pair = (Box(2, 2, 4, 4, 5.0), Box(6, 6, 3, 3, 7.0))  # share a corner
+        for boxes in (edge_pair, corner_pair):
+            _, labels = render_ortho(SceneSpec(20.0, boxes, raster=(12, 12)))
+            footprint = np.zeros((12, 12), dtype=bool)
+            for box in boxes:
+                footprint[box.y:box.y + box.h, box.x:box.x + box.w] = True
+            assert np.all(labels.labels[footprint] == Label.ROOF)
+            assert np.all(labels.labels[~footprint] != Label.ROOF)
+            ring = np.zeros((12, 12), dtype=bool)
+            for box in boxes:
+                ring[max(box.y - 1, 0):box.y + box.h + 1,
+                     max(box.x - 1, 0):box.x + box.w + 1] = True
+            assert np.array_equal(labels.labels == Label.EDGE, ring & ~footprint)
+
     def test_disjoint_boxes_contribute_additively(self):
         a = Box(2, 2, 4, 4, 5.0)
         b = Box(10, 10, 3, 5, 7.0)

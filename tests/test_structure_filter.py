@@ -1,6 +1,7 @@
 """Geometric attention mask pipeline: gradients, normals, edge partition,
 clustering, gating, and feature modulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -377,6 +378,14 @@ class TestConsistencyAndGate:
         tape.backward(sum_all(out))
         assert gate.gain.grad is not None and gate.gain.grad != 0.0
         assert gate.bias.grad is not None and gate.bias.grad != 0.0
+
+    def test_gate_params_are_frozen(self):
+        # One instance is the shared default of adaptive_gate, MaskGeometry.mask
+        # and structure_mask, so an assignment would change every later call.
+        gate = GateParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.gain = 1.0
+        assert gate == GateParams(gain=5.0, bias=-2.5)
 
 
 class TestRectifyAndGeoMask:
