@@ -14,6 +14,15 @@ Conventions that the rest of the package relies on:
 * spatial borders are always handled by replicate (clamp-to-edge) padding,
 * adaptive pooling uses floor boundaries ``floor(i*H/out) .. floor((i+1)*H/out)``,
 * softmax always subtracts the running maximum before exponentiation.
+
+Tensor data is finite. Finiteness is checked where data enters: ``Tensor(data)``,
+``Tape.leaf`` and the wrapping of raw operands. An op's output is not checked
+again: under the floating-point policy (:func:`float_policy`: overflow,
+invalid and divide-by-zero raise ``FloatingPointError``), an op on finite
+inputs returns finite data or raises. ``channel_project`` is the exception,
+because ``np.einsum`` ignores the policy; it checks its own output. The
+package's entry points (``run_gradient_checks``, ``run_experiment``,
+``structure_mask`` and the CLI's ``main``) run under the policy.
 """
 
 from __future__ import annotations
@@ -24,6 +33,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 Array = np.ndarray
+NOT_FINITE = "tensor data must be finite"
+
+
+def float_policy() -> np.errstate:
+    """The floating-point policy, as a context: NumPy overflow, invalid and
+    divide-by-zero raise ``FloatingPointError``."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 class Tensor:
@@ -34,7 +50,7 @@ class Tensor:
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise ValueError("tensor data must be finite")
+            raise ValueError(NOT_FINITE)
         self.data = arr
         self.grad: Array | None = None
         self.tape = tape
@@ -121,7 +137,9 @@ def _emit(inputs: tuple[Tensor, ...], out_data: Array,
           pullback: Callable[[Array], Sequence[Array | None]]) -> Tensor:
     """Build the output tensor and record the node when an input has a tape."""
     tape = next((t.tape for t in inputs if t.tape is not None), None)
-    out = Tensor(out_data, tape=tape)
+    # An op output skips ``Tensor.__init__``'s finiteness pass (module docstring).
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.tape = np.asarray(out_data, dtype=np.float64), None, tape
     if tape is not None:
         tape._nodes.append(_Node(out, inputs, pullback))
     return out
@@ -175,10 +193,9 @@ def relu(t: Tensor) -> Tensor:
 
 def absolute(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    sign = np.sign(t.data)
 
     def pullback(g):
-        return (g * sign,)
+        return (g * np.sign(t.data),)
 
     return _emit((t,), np.abs(t.data), pullback)
 
@@ -202,13 +219,11 @@ def sigmoid(t: Tensor) -> Tensor:
 def log1p_exp(t: Tensor) -> Tensor:
     """log(1 + exp(x)), computed as logaddexp(0, x) so large x cannot overflow."""
     t = _as_tensor(t)
-    out = np.logaddexp(0.0, t.data)
-    grad_sig = _logistic(t.data)
 
     def pullback(g):
-        return (g * grad_sig,)
+        return (g * _logistic(t.data),)
 
-    return _emit((t,), out, pullback)
+    return _emit((t,), np.logaddexp(0.0, t.data), pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +395,19 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
     # returns a C-contiguous copy, so the pullback's ``zeros_like(xp)`` and
     # einsum sums run in the same order as on a padded copy; a one-step fancy
     # index would return another layout and change the gradients' last bits.
-    rows = np.clip(np.arange(-pad, h + pad), 0, h - 1)
-    cols = np.clip(np.arange(-pad, w + pad), 0, w - 1)
+    rows = np.minimum(np.maximum(np.arange(-pad, h + pad), 0), h - 1)
+    cols = np.minimum(np.maximum(np.arange(-pad, w + pad), 0), w - 1)
     xp = t.data.take(rows, axis=2).take(cols, axis=3)
+    # coeff[:, :, u, v] is tap (u, v)'s stencil weights as a (1, C, 1, 1) view.
+    coeff = kw.data.reshape(1, c, k, k, 1, 1)
 
     def tap(u: int, v: int) -> Array:
         return xp[:, :, u * d:u * d + h, v * d:v * d + w]
 
-    def coeff(u: int, v: int) -> Array:
-        return kw.data[:, u, v].reshape(1, c, 1, 1)
-
     out = np.zeros((b, c, h, w))
     for u in range(k):
         for v in range(k):
-            out += coeff(u, v) * tap(u, v)
+            out += coeff[:, :, u, v] * tap(u, v)
 
     def pullback(g):
         gxp = np.zeros_like(xp)
@@ -401,7 +415,7 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
         for u in range(k):
             for v in range(k):
                 gw[:, u, v] = np.einsum("bchw,bchw->c", g, tap(u, v))
-                gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff(u, v) * g
+                gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff[:, :, u, v] * g
         return _fold_replicate(gxp, pad, h, w), gw
 
     return _emit((t, kw), out, pullback)
@@ -424,6 +438,8 @@ def channel_project(t: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
     out = np.einsum("oc,bchw->bohw", weights.data, t.data) + \
         bias.data.reshape(1, c_out, 1, 1)
+    if not np.isfinite(out).all():  # einsum overflows to inf under any policy
+        raise ValueError(NOT_FINITE)
 
     def pullback(g):
         gx = np.einsum("oc,bohw->bchw", weights.data, g)
@@ -463,11 +479,10 @@ def adaptive_avg_pool(t: Tensor, out_h: int, out_w: int) -> Tensor:
     sums = np.add.reduceat(sums, col_edges, axis=3)
     out = sums / (row_counts[:, None] * col_counts[None, :])
 
-    row_map = np.searchsorted(row_edges, np.arange(h), side="right") - 1
-    col_map = np.searchsorted(col_edges, np.arange(w), side="right") - 1
-    denom = row_counts[row_map][:, None] * col_counts[col_map][None, :]
-
     def pullback(g):
+        row_map = np.searchsorted(row_edges, np.arange(h), side="right") - 1
+        col_map = np.searchsorted(col_edges, np.arange(w), side="right") - 1
+        denom = row_counts[row_map][:, None] * col_counts[col_map][None, :]
         return (g[:, :, row_map[:, None], col_map[None, :]] / denom,)
 
     return _emit((t,), out, pullback)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import (
+    NOT_FINITE,
     Array,
     Kernel2D,
     Tape,
@@ -30,6 +31,7 @@ from .autodiff import (
     _as_tensor,
     adaptive_avg_pool,
     add,
+    float_policy,
     l2_normalize,
     mul,
     reshape,
@@ -217,7 +219,8 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
     """Compare analytic and central-difference gradients over seeded scenes.
 
     Returns one row per (parameter group, loss) with the maximum relative
-    error observed across all seeds and sampled coordinates.
+    error observed across all seeds and sampled coordinates. Runs under the
+    floating-point policy; the finite-difference probes let overflow through.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
@@ -225,46 +228,49 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
         raise ValueError(f"step size must be positive and finite, got {eps}")
     worst = {(g, l): 0.0 for g in PARAM_GROUPS for l in LOSS_NAMES}
     evals = {(g, l): 0 for g in PARAM_GROUPS for l in LOSS_NAMES}
-    seed_rng = np.random.default_rng(base_seed)
-    scenario_seeds = seed_rng.integers(0, 2**31 - 1, size=4 * n_seeds)
-    built = 0
-    for raw_seed in scenario_seeds:
-        if built == n_seeds:
-            break
-        scenario = _build_scenario(int(raw_seed))
-        if scenario is None:
-            continue
-        built += 1
-        analytic = _analytic_gradients(scenario)
-        coord_rng = np.random.default_rng(int(raw_seed) + 1)
-        for group in PARAM_GROUPS:
-            base = scenario.params[group]
-            n_coords = min(3, base.size)
-            coords = coord_rng.choice(base.size, size=n_coords, replace=False)
-            for idx in coords:
-                probes = {}
-                for sign in (+1.0, -1.0):
-                    shifted = dict(scenario.params)
-                    arr = base.copy()
-                    arr.flat[int(idx)] += sign * eps
-                    shifted[group] = arr
-                    # A step that overflows the forward pass surfaces as a
-                    # non-finite tensor or a degenerate value: name the step.
-                    try:
-                        with np.errstate(over="ignore"):
-                            values = _losses(shifted, scenario)
-                    except ValueError as exc:
-                        raise ValueError(f"step size {eps} is too large for the "
-                                         f"{group} probes ({exc})") from None
-                    probes[sign] = {name: float(values[name].data)
-                                    for name in LOSS_NAMES}
-                for loss_name in LOSS_NAMES:
-                    fd = (probes[1.0][loss_name] - probes[-1.0][loss_name]) / (2.0 * eps)
-                    ga = float(analytic[loss_name][group].flat[int(idx)])
-                    rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
-                    key = (group, loss_name)
-                    worst[key] = max(worst[key], rel)
-                    evals[key] += 1
+    with float_policy():
+        seed_rng = np.random.default_rng(base_seed)
+        scenario_seeds = seed_rng.integers(0, 2**31 - 1, size=4 * n_seeds)
+        built = 0
+        for raw_seed in scenario_seeds:
+            if built == n_seeds:
+                break
+            scenario = _build_scenario(int(raw_seed))
+            if scenario is None:
+                continue
+            built += 1
+            analytic = _analytic_gradients(scenario)
+            coord_rng = np.random.default_rng(int(raw_seed) + 1)
+            for group in PARAM_GROUPS:
+                base = scenario.params[group]
+                n_coords = min(3, base.size)
+                coords = coord_rng.choice(base.size, size=n_coords, replace=False)
+                for idx in coords:
+                    probes = {}
+                    for sign in (+1.0, -1.0):
+                        shifted = dict(scenario.params)
+                        arr = base.copy()
+                        arr.flat[int(idx)] += sign * eps
+                        shifted[group] = arr
+                        # A step that overflows the forward pass surfaces as a
+                        # degenerate value, or as an invalid operation on an
+                        # overflowed (non-finite) tensor: name the step.
+                        try:
+                            with np.errstate(over="ignore"):
+                                values = _losses(shifted, scenario)
+                        except (ValueError, FloatingPointError) as exc:
+                            reason = exc if isinstance(exc, ValueError) else NOT_FINITE
+                            raise ValueError(f"step size {eps} is too large for the "
+                                             f"{group} probes ({reason})") from None
+                        probes[sign] = {name: float(values[name].data)
+                                        for name in LOSS_NAMES}
+                    for loss_name in LOSS_NAMES:
+                        fd = (probes[1.0][loss_name] - probes[-1.0][loss_name]) / (2.0 * eps)
+                        ga = float(analytic[loss_name][group].flat[int(idx)])
+                        rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
+                        key = (group, loss_name)
+                        worst[key] = max(worst[key], rel)
+                        evals[key] += 1
     if built < n_seeds:
         raise RuntimeError(
             f"only {built} of {n_seeds} scenarios produced a usable partition"

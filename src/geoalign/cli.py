@@ -6,6 +6,8 @@ command with identical arguments reproduces its outputs byte for byte.
 
 Exit codes: 0 on success; 1 for usage, file-format or validation errors;
 2 when a check fails (gradient error above tolerance, mask not evaluable).
+Commands run under the floating-point policy (``autodiff.float_policy``), so
+an overflow ends in an ``error:`` line, never in a NumPy warning.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
+from .autodiff import NOT_FINITE, float_policy
 from .checks import run_gradient_checks
 from .formats import (
     atomic_write_bytes,
@@ -100,14 +101,15 @@ def cmd_mask(args) -> int:
     try:
         # The raster is already at its own resolution, so there is nothing to pool.
         geometry = MaskGeometry.from_depth(DepthMap(raster), config)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise ValueError(f"{args.depth_file}: {exc}") from None
     try:
-        with np.errstate(over="ignore"):
-            values = geometry.mask(GateParams(gain=args.alpha, bias=args.beta)).values
-    except ValueError as exc:
+        values = geometry.mask(GateParams(gain=args.alpha, bias=args.beta)).values
+    except (ValueError, FloatingPointError) as exc:
+        # An overflow in gain * c + bias would make the gate's tensor data infinite.
+        reason = exc if isinstance(exc, ValueError) else NOT_FINITE
         raise ValueError(f"--alpha {args.alpha} and --beta {args.beta} "
-                         f"saturate the mask gate ({exc})") from None
+                         f"saturate the mask gate ({reason})") from None
     write_f64_raster(f"{args.out_prefix}.mask.geod", values)
     write_mask_pgm(f"{args.out_prefix}.mask.pgm", values)
     header = "n_dom_x,n_dom_y,n_dom_z,tau_grad,n_edges,n_flat,mask_mean,mask_min,mask_max"
@@ -275,11 +277,12 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and not ok(value):
                 raise ValueError(f"--{name} must be {rule}, got {value}")
-        return args.func(args)
+        with float_policy():
+            return args.func(args)
     except NotEvaluableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

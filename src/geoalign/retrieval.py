@@ -30,6 +30,7 @@ from .autodiff import (
     adaptive_avg_pool,
     channel_project,
     conv2d,
+    float_policy,
     l2_normalize,
     reshape,
     sigmoid,
@@ -213,34 +214,35 @@ def run_experiment(
     ``seed``, so two runs with the same arguments produce identical reports.
     Scene seeds are ``default_rng(seed).integers(0, 2**31 - 1, n_scenes)``,
     each passed to ``spec_fn`` in order. Each depth map is embedded for all
-    arms at once (``embed``).
+    arms at once (``embed``). Runs under the floating-point policy.
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
     if not arms:
         raise ValueError("need at least one arm")
     arm_parts = [_arm_parts(arm) for arm in arms]
-    rng = np.random.default_rng(seed)
-    scene_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=n_scenes)]
-    specs = [spec_fn(s) for s in scene_seeds]
-    gallery_depths = [render_ortho(spec)[0] for spec in specs]
-    query_depths = [render_oblique(spec)[0] for spec in specs]
-    encoder = ToyEncoder.seeded(seed=seed, channels=channels)
-    fusion = FusionParams.smoothing(channels, seed=seed)
-    gallery_rows, query_rows = (
-        [embed(d, encoder, arm_parts, fusion) for d in depths]
-        for depths in (gallery_depths, query_depths))
-    reports: dict[str, RetrievalReport] = {}
-    for k, arm in enumerate(arms):
-        gallery = np.stack([row[k].data for row in gallery_rows])
-        ranks = [true_rank(rank_gallery(row[k].data, gallery), i)
-                 for i, row in enumerate(query_rows)]
-        reports[arm] = RetrievalReport(
-            arm=arm,
-            n_queries=n_scenes,
-            recall_at_1=recall_at_k(ranks, 1),
-            recall_at_5=recall_at_k(ranks, 5),
-            mean_ap=mean_average_precision(ranks),
-            ranks=tuple(ranks),
-        )
-    return reports
+    with float_policy():
+        rng = np.random.default_rng(seed)
+        scene_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=n_scenes)]
+        specs = [spec_fn(s) for s in scene_seeds]
+        gallery_depths = [render_ortho(spec)[0] for spec in specs]
+        query_depths = [render_oblique(spec)[0] for spec in specs]
+        encoder = ToyEncoder.seeded(seed=seed, channels=channels)
+        fusion = FusionParams.smoothing(channels, seed=seed)
+        gallery_rows, query_rows = (
+            [embed(d, encoder, arm_parts, fusion) for d in depths]
+            for depths in (gallery_depths, query_depths))
+        reports: dict[str, RetrievalReport] = {}
+        for k, arm in enumerate(arms):
+            gallery = np.stack([row[k].data for row in gallery_rows])
+            ranks = [true_rank(rank_gallery(row[k].data, gallery), i)
+                     for i, row in enumerate(query_rows)]
+            reports[arm] = RetrievalReport(
+                arm=arm,
+                n_queries=n_scenes,
+                recall_at_1=recall_at_k(ranks, 1),
+                recall_at_5=recall_at_k(ranks, 5),
+                mean_ap=mean_average_precision(ranks),
+                ranks=tuple(ranks),
+            )
+        return reports

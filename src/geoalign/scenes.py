@@ -142,8 +142,16 @@ def _base_scene(spec: SceneSpec) -> tuple[Array, Array]:
 
 
 def _add_noise(depth: Array, spec: SceneSpec) -> Array:
+    """``depth`` plus seeded Gaussian noise; raises, naming the sigma, when a
+    draw or a sum leaves the float64 range."""
     rng = np.random.default_rng(spec.rng_seed)
-    return depth + rng.normal(0.0, spec.noise_sigma, depth.shape)
+    with np.errstate(over="ignore"):  # the check below names the cause
+        noisy = depth + rng.normal(0.0, spec.noise_sigma, depth.shape)
+    if not np.isfinite(noisy).all():
+        h, w = spec.raster
+        raise ValueError(f"noise {spec.noise_sigma} pushes depth past the float64 "
+                         f"range on the {w}x{h} raster")
+    return noisy
 
 
 def render_ortho(spec: SceneSpec) -> tuple[DepthMap, LabelMap]:

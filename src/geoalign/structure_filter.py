@@ -26,6 +26,7 @@ from .autodiff import (
     adaptive_avg_pool,
     add,
     conv2d,
+    float_policy,
     masked_fill,
     mul,
     reshape,
@@ -372,5 +373,7 @@ class MaskGeometry:
 def structure_mask(depth: DepthMap, h: int, w: int,
                    gate: GateParams = GateParams(),
                    cfg: FilterConfig = FilterConfig()) -> GeoMask:
-    """Full depth -> attention-mask pipeline at resolution (h, w)."""
-    return MaskGeometry.from_depth(align_depth(depth, h, w), cfg).mask(gate)
+    """Full depth -> attention-mask pipeline at resolution (h, w), under the
+    floating-point policy."""
+    with float_policy():
+        return MaskGeometry.from_depth(align_depth(depth, h, w), cfg).mask(gate)

@@ -18,6 +18,7 @@ from geoalign.autodiff import (
     add,
     channel_project,
     conv2d,
+    float_policy,
     l2_normalize,
     log1p_exp,
     masked_fill,
@@ -581,3 +582,106 @@ class TestConvMatchesPaddedForm:
         assert out.data.tobytes() == want_out.tobytes()
         assert xt.grad.tobytes() == want_gx.tobytes()
         assert kt.grad.tobytes() == want_gw.tobytes()
+
+
+def pullback_of(op, x, g):
+    """``op``'s output on ``x`` and the input gradient its pullback returns for ``g``."""
+    tape = Tape()
+    xt = tape.leaf(x)
+    out = op(xt)
+    # sum_all passes back ones and 1.0 * g is g, so the op's pullback gets g.
+    tape.backward(sum_all(mul(out, Tensor(g))))
+    return out.data, xt.grad
+
+
+def eager_adaptive_avg_pool(x, out_h, out_w, g):
+    """adaptive_avg_pool with its pullback's index maps built in the forward pass."""
+    _, _, h, w = x.shape
+    row_edges = (np.arange(out_h) * h) // out_h
+    col_edges = (np.arange(out_w) * w) // out_w
+    row_counts = np.diff(np.append(row_edges, h))
+    col_counts = np.diff(np.append(col_edges, w))
+    sums = np.add.reduceat(np.add.reduceat(x, row_edges, axis=2), col_edges, axis=3)
+    out = sums / (row_counts[:, None] * col_counts[None, :])
+    row_map = np.searchsorted(row_edges, np.arange(h), side="right") - 1
+    col_map = np.searchsorted(col_edges, np.arange(w), side="right") - 1
+    denom = row_counts[row_map][:, None] * col_counts[col_map][None, :]
+    return out, g[:, :, row_map[:, None], col_map[None, :]] / denom
+
+
+def eager_logistic(x):
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+class TestPullbackStateMatchesEagerForm:
+    """Ops that build their pullback-only state inside the pullback give the
+    floats of the form that built it eagerly, bit for bit. (conv2d's eager
+    form is ``padded_conv2d``: one reshape per tap coefficient, and edge
+    padding that equals the clamped-index gather.)"""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(b=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 9),
+           w=st.integers(1, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_adaptive_avg_pool(self, b, c, h, w, data, seed):
+        out_h, out_w = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(b, c, h, w))
+        g = rng.normal(size=(b, c, out_h, out_w))
+        got = pullback_of(lambda t: adaptive_avg_pool(t, out_h, out_w), x, g)
+        want = eager_adaptive_avg_pool(x, out_h, out_w, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_log1p_exp_and_absolute(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * scale
+        x[::3] = 0.0  # absolute's kink and the logistic's branch point
+        g = rng.normal(size=n)
+        got = pullback_of(log1p_exp, x, g)
+        want = (np.logaddexp(0.0, x), g * eager_logistic(x))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        got = pullback_of(absolute, x, g)
+        assert [a.tobytes() for a in got] == [np.abs(x).tobytes(), (g * np.sign(x)).tobytes()]
+
+
+HUGE = 1e308
+
+
+class TestFloatPolicy:
+    """Op outputs are not checked for finiteness: under the floating-point
+    policy an op whose finite inputs overflow raises instead."""
+
+    @pytest.mark.parametrize("name, build", [
+        ("add", lambda: add(Tensor([HUGE]), Tensor([HUGE]))),
+        ("mul", lambda: mul(Tensor([1e200]), Tensor([1e200]))),
+        ("conv2d", lambda: conv2d(Tensor(np.full((1, 1, 3, 3), HUGE)),
+                                  Kernel2D(np.full((1, 3, 3), 2.0)))),
+        ("adaptive_avg_pool", lambda: adaptive_avg_pool(Tensor(np.full((1, 1, 2, 2), HUGE)),
+                                                        1, 1)),
+        ("sum_all", lambda: sum_all(Tensor([HUGE, HUGE]))),
+        ("mean_over_axis", lambda: mean_over_axis(Tensor([[HUGE, HUGE]]), 1)),
+        ("masked_mean", lambda: masked_mean(Tensor([HUGE, HUGE]), [True, True])),
+    ])
+    def test_overflowing_op_raises(self, name, build):
+        with float_policy():
+            with pytest.raises(FloatingPointError, match="overflow"):
+                build()
+
+    def test_policy_is_restored_on_exit(self):
+        before = np.geterr()
+        with pytest.raises(FloatingPointError):
+            with float_policy():
+                assert np.geterr() == {"over": "raise", "invalid": "raise",
+                                       "divide": "raise", "under": before["under"]}
+                sum_all(Tensor([HUGE, HUGE]))
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("policy", [float_policy, lambda: np.errstate(all="ignore")])
+    def test_channel_project_checks_its_einsum(self, policy):
+        x = Tensor(np.full((1, 2, 1, 1), 1e200))
+        with policy():
+            with pytest.raises(ValueError, match="tensor data must be finite"):
+                channel_project(x, Tensor(np.full((1, 2), 1e200)), Tensor([0.0]))

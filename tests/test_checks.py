@@ -45,6 +45,14 @@ class TestRunGradientChecks:
             with pytest.raises(ValueError, match="step size"):
                 run_gradient_checks(eps=eps)
 
+    def test_probe_that_overflows_tensor_data_is_named(self):
+        # Called outside the CLI: the entry point applies the float policy itself.
+        before = np.geterr()
+        with pytest.raises(ValueError, match=r"^step size 1e\+308 is too large for the "
+                                             r"mid_kernel probes \(tensor data must be finite\)$"):
+            run_gradient_checks(n_seeds=1, eps=1e308)
+        assert np.geterr() == before
+
     def test_contrast_partition_matches_the_closed_form_mask(self):
         # The default battery: base seed 0, the first 20 scenarios that build.
         seeds = np.random.default_rng(0).integers(0, 2**31 - 1, size=80)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geoalign import cli
 from geoalign.cli import main
 from geoalign.formats import read_f64_raster, read_u8_raster, write_f64_raster, write_u8_raster
 from geoalign.structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry, structure_mask
@@ -308,10 +309,20 @@ class TestUsageErrors:
         (["mask", "--alpha", "40"],
          "--alpha 40.0 and --beta -2.5 saturate the mask gate "
          "(mask values must lie strictly inside (0, 1))"),
-        # A finite step whose shifted parameters overflow the forward pass.
+        # A finite step whose shifted parameters overflow the forward pass:
+        # the embedding's squared norm, or, larger still, tensor data.
         (["gradcheck", "--eps", "1e300"],
          "--eps: step size 1e+300 is too large for the mid_kernel probes "
          "(anchor must be unit length, got norm 0.0)"),
+        (["gradcheck", "--eps", "1e306"],
+         "--eps: step size 1e+306 is too large for the mid_kernel probes "
+         "(anchor must be unit length, got norm 0.0)"),
+        (["gradcheck", "--eps", "1e308"],
+         "--eps: step size 1e+308 is too large for the mid_kernel probes "
+         "(tensor data must be finite)"),
+        (["gradcheck", "--eps", "1.7e308"],
+         "--eps: step size 1.7e+308 is too large for the mid_kernel probes "
+         "(tensor data must be finite)"),
     ])
     def test_unusable_flag_value_is_named(self, tmp_path, capsys, argv, message):
         if argv[0] == "mask":
@@ -337,6 +348,40 @@ class TestUsageErrors:
         assert captured.err == ("error: slope 1e+308 1e+308 tilts the ground plane "
                                 "past the float64 range on the 64x64 raster\n")
         assert not out.exists()
+
+    def test_overflow_in_any_command_ends_in_one_error_line(self, monkeypatch, capsys):
+        # Commands run under the float policy, so an overflow raises, and
+        # main reports it like any other bad value.
+        monkeypatch.setattr(cli, "run_experiment", lambda **_: np.full(2, 1e308) * 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bench", "--scenes", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: overflow encountered in multiply\n"
+
+    def test_noise_past_float64_is_named(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "ground 10\nnoise 1e308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", spec, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: noise 1e+308 pushes depth past the float64 "
+                                "range on the 64x64 raster\n")
+        assert not out.exists()
+
+    def test_depth_ramp_whose_normals_overflow_is_named(self, tmp_path, capsys):
+        depth = str(tmp_path / "ramp.geod")
+        write_f64_raster(depth, np.add.outer(np.arange(16.0), np.arange(16.0)) * 5e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is an error, not a warning
+            assert main(["mask", depth, str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {depth}: overflow encountered in multiply\n"
+        assert not list(tmp_path.glob("m.*"))
 
     def test_spec_integer_past_float64_is_not_finite(self, tmp_path, capsys):
         huge = "1" + "0" * 400

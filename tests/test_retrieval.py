@@ -239,6 +239,14 @@ class TestArmComponents:
 
 
 class TestRunExperiment:
+    def test_overflow_raises_under_the_float_policy(self):
+        # A ground plane at 1e306 overflows the feature stack's variance.
+        before = np.geterr()
+        with pytest.raises(FloatingPointError, match="overflow"):
+            run_experiment(n_scenes=2, channels=16, spec_fn=lambda s: dataclasses.replace(
+                facade_heavy_spec(s), ground_depth=1e306))
+        assert np.geterr() == before
+
     def test_same_seed_reproduces_reports_exactly(self):
         a = run_experiment(n_scenes=4, seed=2, channels=16)
         b = run_experiment(n_scenes=4, seed=2, channels=16)

@@ -503,6 +503,13 @@ class TestStructureMaskPipeline:
         out = modulate(Tensor(np.ones((1, 1, 16, 16))), mask)
         assert np.array_equal(out.data, np.full((1, 1, 16, 16), 1.5))
 
+    def test_overflow_raises_under_the_float_policy(self):
+        # Slopes of 5e306 per pixel overflow the normals' squared length.
+        before = np.geterr()
+        with pytest.raises(FloatingPointError, match="overflow"):
+            structure_mask(ramp(5e306, 5e306), 16, 16)
+        assert np.geterr() == before
+
 
 class TestFilterFeatures:
     def test_returns_modulated_features_and_mask(self):
