@@ -35,6 +35,7 @@ from .autodiff import (
     l2_normalize,
     mul,
     reshape,
+    select_index,
 )
 from .losses import (
     ActivationPartition,
@@ -56,7 +57,7 @@ from .scale_fusion import (
     scale_weights,
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import GateParams, MaskGeometry, align_depth, modulate
+from .structure_filter import EdgePartition, GateParams, MaskGeometry, align_depth, modulate
 
 LOSS_NAMES = ("contrast", "triplet", "total")
 PARAM_GROUPS = (
@@ -73,8 +74,8 @@ REL_ERR_FLOOR = 1e-3
 _GRID = (8, 8)
 _CHANNELS = 4
 _POOL = 2
-# The per-geometry parts of ``_losses`` that a probe may leave unchanged, and
-# the parameter groups each one reads.
+# The parts of ``_losses`` that a probe may leave unchanged, and the parameter
+# groups each one reads.
 _PART_GROUPS = {
     "features": ("enc_dw1", "enc_pw2"),
     "branches": ("enc_dw1", "enc_pw2", "mid_kernel", "far_kernel"),
@@ -94,20 +95,19 @@ class GradientCheck:
 
 
 @dataclass(frozen=True)
-class _Geometry:
-    stack: Tensor  # wrapped once per scenario; it has no tape, so no pass writes to it
-    mask_geometry: MaskGeometry
-
-
-@dataclass(frozen=True)
 class _Scenario:
+    """One scene triple: the anchor (oblique render of scene A), the positive
+    (ortho render of A) and the negative (ortho render of scene B), stacked in
+    that order as a batch of three so each pass runs once for all of them."""
+
     encoder: ToyEncoder
-    geometries: tuple[_Geometry, _Geometry, _Geometry]
+    stack: Tensor  # (3, DEPTH_CHANNELS, H, W); it has no tape, so no pass writes to it
+    geometry: MaskGeometry  # the three maps' geometries, stacked in the same order
     contrast_partition: ActivationPartition
     params: dict[str, Array]
     margin: float  # of the contrast hinge
-    # Parts computed from ``params`` itself, keyed by (part, geometry index).
-    # ``replace`` hands the same dict on, so it lives as long as the scenario.
+    # Parts computed from ``params`` itself, keyed by part name. ``replace``
+    # hands the same dict on, so it lives as long as the scenario.
     prefix: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -115,10 +115,16 @@ def _build_scenario(seed: int) -> _Scenario | None:
     rng = np.random.default_rng(seed)
     seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
     spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
-    geometries = tuple(
-        _Geometry(Tensor(standardize_stack(depth_feature_stack(depth, *_GRID))),
-                  MaskGeometry.from_depth(align_depth(depth, *_GRID)))
-        for depth in (render_oblique(spec_a)[0], render_ortho(spec_a)[0], render_ortho(spec_b)[0]))
+    depths = (render_oblique(spec_a)[0], render_ortho(spec_a)[0], render_ortho(spec_b)[0])
+    # Each map is standardized on its own, as ``embed`` does, before stacking.
+    stack = Tensor(np.concatenate(
+        [standardize_stack(depth_feature_stack(depth, *_GRID)) for depth in depths]))
+    maps = [MaskGeometry.from_depth(align_depth(depth, *_GRID)) for depth in depths]
+    geometry = MaskGeometry(
+        EdgePartition(np.stack([g.partition.edge_mask for g in maps]),
+                      np.array([g.partition.threshold for g in maps])),
+        np.stack([g.reference for g in maps]),
+        np.stack([g.consistency for g in maps]))
     encoder = ToyEncoder.seeded(seed, channels=_CHANNELS)
     params = {
         "mid_kernel": 1.0 / 9.0 + rng.normal(0.0, 0.02, (_CHANNELS, 3, 3)),
@@ -131,10 +137,10 @@ def _build_scenario(seed: int) -> _Scenario | None:
         "enc_pw2": encoder.pw2.copy(),
     }
     baseline_gate = GateParams(float(params["gate_gain"]), float(params["gate_bias"]))
-    contrast_partition = partition_by_quantile(geometries[0].mask_geometry.mask(baseline_gate))
+    contrast_partition = partition_by_quantile(geometry.mask(baseline_gate).values[0])
     if contrast_partition.n_stable == 0 or contrast_partition.n_unstable == 0:
         return None
-    scenario = _Scenario(encoder, geometries, contrast_partition, params, margin=0.5)
+    scenario = _Scenario(encoder, stack, geometry, contrast_partition, params, margin=0.5)
     # Stable regions out-activate unstable ones at the default margin, which
     # would park the contrast hinge at zero and reduce its gradient check to
     # 0 == 0. Raise the margin until the hinge is active with 0.5 of slack, so
@@ -143,7 +149,7 @@ def _build_scenario(seed: int) -> _Scenario | None:
     return replace(scenario, margin=max(0.5, gap + 0.5))
 
 
-def _part(scenario: _Scenario, params: dict, name: str, index: int, fn, *args):
+def _part(scenario: _Scenario, params: dict, name: str, fn, *args):
     """``fn(*args)``, computed once per scenario while every group it reads
     ``is`` the scenario's own array.
 
@@ -154,13 +160,16 @@ def _part(scenario: _Scenario, params: dict, name: str, index: int, fn, *args):
     """
     if any(params[g] is not scenario.params[g] for g in _PART_GROUPS[name]):
         return fn(*args)
-    key = (name, index)
-    if key not in scenario.prefix:
-        scenario.prefix[key] = fn(*args)
-    return scenario.prefix[key]
+    if name not in scenario.prefix:
+        scenario.prefix[name] = fn(*args)
+    return scenario.prefix[name]
 
 
 def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
+    """The three losses of one scenario, with the whole chain run once for the
+    batch of three maps. Every forward op works per map, so the losses are the
+    floats a per-map pass gives; only the shared parameters' gradients differ,
+    summed over the batch in one reduction."""
     fusion = FusionParams(
         mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
         far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION),
@@ -169,21 +178,16 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     )
     gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
     encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
-    embeddings = []
-    anchor_features = None
-    for i, geometry in enumerate(scenario.geometries):
-        x = geometry.stack
-        features = _part(scenario, params, "features", i, encoder.forward, x)
-        branches = _part(scenario, params, "branches", i, scale_branches, features, fusion)
-        weights = _part(scenario, params, "weights", i, scale_weights, x, fusion)
-        features = fuse(features, branches, weights)
-        mask = _part(scenario, params, "mask", i, geometry.mask_geometry.mask, gate)
-        features = modulate(features, mask)
-        if anchor_features is None:
-            anchor_features = features
-        pooled = adaptive_avg_pool(features, _POOL, _POOL)
-        flat = reshape(pooled, (_CHANNELS * _POOL * _POOL,))
-        embeddings.append(l2_normalize(flat))
+    x = scenario.stack
+    features = _part(scenario, params, "features", encoder.forward, x)
+    branches = _part(scenario, params, "branches", scale_branches, features, fusion)
+    weights = _part(scenario, params, "weights", scale_weights, x, fusion)
+    mask = _part(scenario, params, "mask", scenario.geometry.mask, gate)
+    features = modulate(fuse(features, branches, weights), mask)
+    n, c, h, w = features.shape
+    pooled = reshape(adaptive_avg_pool(features, _POOL, _POOL), (n, c * _POOL * _POOL))
+    embeddings = [l2_normalize(select_index(pooled, 0, i)) for i in range(n)]
+    anchor_features = reshape(select_index(features, 0, 0), (1, c, h, w))
     v_stable, v_unstable = aggregate_activation(
         activation_map(anchor_features), scenario.contrast_partition
     )
@@ -251,6 +255,12 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
                         shifted = dict(scenario.params)
                         arr = base.copy()
                         arr.flat[int(idx)] += sign * eps
+                        if arr.flat[int(idx)] == base.flat[int(idx)]:
+                            # Below the coordinate's float spacing: the finite
+                            # difference would read 0 whatever the gradient.
+                            raise ValueError(f"step size {eps} is too small for the "
+                                             f"{group} probes (a shifted coordinate "
+                                             f"is unchanged)")
                         shifted[group] = arr
                         # A step that overflows the forward pass surfaces as a
                         # degenerate value, or as an invalid operation on an

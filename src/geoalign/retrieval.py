@@ -125,7 +125,7 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
 
 
 def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
-          fusion: FusionParams | None = None) -> list[Tensor]:
+          fusion: FusionParams) -> list[Tensor]:
     """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
     pair in ``arm_parts``.
 
@@ -136,7 +136,7 @@ def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, 
     handling oblique geometry is its job — while the encoder sees the
     detrended one. The encoder, the fusion and the mask each run at most once
     for all pairs; only the modulation, pooling and normalization run per
-    pair.
+    pair. Only fused pairs read ``fusion``.
     """
     stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *FEATURE_GRID)))
     plain = encoder.forward(stack)

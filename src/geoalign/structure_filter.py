@@ -134,7 +134,8 @@ class FilterConfig:
 
 
 class GeoMask:
-    """Per-pixel geometric attention in (0, 1), exactly 0.5 on edge pixels."""
+    """Per-pixel geometric attention in (0, 1), exactly 0.5 on edge pixels:
+    one (H, W) map, or (B, H, W) maps stacked."""
 
     def __init__(self, mask: Tensor, edge_mask: Array):
         edge_mask = np.asarray(edge_mask, dtype=bool).copy()
@@ -154,7 +155,7 @@ class GeoMask:
         return self.mask.data
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.mask.data.shape
 
 
@@ -336,21 +337,30 @@ def rectify_edges(raw_mask: Tensor, partition: EdgePartition) -> GeoMask:
 
 
 def modulate(features: Tensor, mask: GeoMask) -> Tensor:
-    """Amplify features by ``1 + mask`` (broadcast over batch and channels)."""
+    """Amplify features by ``1 + mask``, broadcast over channels. An (H, W)
+    mask is broadcast over the batch too; a (B, H, W) one holds one map per
+    batch item."""
     if features.data.ndim != 4:
         raise ValueError(f"features must be 4-d, got shape {features.shape}")
-    if features.data.shape[2:] != mask.shape:
+    b, _, h, w = features.data.shape
+    if mask.shape[-2:] != (h, w):
         raise ValueError(
             f"feature grid {features.data.shape[2:]} does not match mask {mask.shape}"
         )
-    h, w = mask.shape
-    m = reshape(mask.mask, (1, 1, h, w))
+    if mask.shape not in ((h, w), (b, h, w)):
+        raise ValueError(f"feature batch of {b} does not match mask {mask.shape}")
+    m = reshape(mask.mask, (-1, 1, h, w))
     return mul(features, add(m, 1.0))
 
 
 @dataclass(frozen=True)
 class MaskGeometry:
-    """The gate-independent part of one depth map's mask, at its own resolution."""
+    """The gate-independent part of one depth map's mask, at its own resolution.
+
+    Several same-size maps may share one, each field (and the edge
+    threshold) stacked on a leading axis; ``mask`` then gates them all as one
+    (B, H, W) ``GeoMask``.
+    """
 
     partition: EdgePartition
     reference: Array

@@ -1,15 +1,42 @@
 """The gradient-check battery that backs the `gradcheck` command."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geoalign import checks, structure_filter
-from geoalign.autodiff import Tensor
+from geoalign.autodiff import (
+    Kernel2D,
+    Tape,
+    Tensor,
+    _as_tensor,
+    adaptive_avg_pool,
+    l2_normalize,
+    reshape,
+)
 from geoalign.checks import LOSS_NAMES, PARAM_GROUPS, GradientCheck, _build_scenario, run_gradient_checks
-from geoalign.losses import partition_by_quantile
-from geoalign.retrieval import ToyEncoder
+from geoalign.losses import (
+    activation_map,
+    aggregate_activation,
+    contrast_hinge,
+    partition_by_quantile,
+    soft_margin_triplet,
+    total_loss,
+)
+from geoalign.retrieval import ToyEncoder, standardize_stack
+from geoalign.scale_fusion import (
+    FAR_DILATION,
+    MID_DILATION,
+    FusionParams,
+    depth_feature_stack,
+    fuse,
+    scale_branches,
+    scale_weights,
+)
+from geoalign.scenes import facade_heavy_spec, render_oblique, render_ortho
+from geoalign.structure_filter import GateParams, MaskGeometry, align_depth, modulate
 
 
 class TestRunGradientChecks:
@@ -53,6 +80,16 @@ class TestRunGradientChecks:
             run_gradient_checks(n_seeds=1, eps=1e308)
         assert np.geterr() == before
 
+    @pytest.mark.parametrize("eps, group", [(1e-320, "mid_kernel"), (1e-16, "gate_gain")])
+    def test_step_below_a_coordinates_float_spacing_is_named(self, eps, group):
+        # Such a step leaves a coordinate unchanged, so its finite difference
+        # would read 0 and blame a correct analytic gradient. 1e-16 moves
+        # every coordinate near 0.1 but not gate_gain, near 5.
+        with pytest.raises(ValueError, match=rf"^step size {eps} is too small for the "
+                                             rf"{group} probes \(a shifted coordinate "
+                                             r"is unchanged\)$"):
+            run_gradient_checks(n_seeds=1, eps=eps)
+
     def test_contrast_partition_matches_the_closed_form_mask(self):
         # The default battery: base seed 0, the first 20 scenarios that build.
         seeds = np.random.default_rng(0).integers(0, 2**31 - 1, size=80)
@@ -60,11 +97,13 @@ class TestRunGradientChecks:
         scenarios = list(itertools.islice((s for s in built if s is not None), 20))
         assert len(scenarios) == 20
         for scenario in scenarios:
-            geometry = scenario.geometries[0].mask_geometry
+            # Geometry 0, the anchor, of the stacked geometry.
+            consistency = scenario.geometry.consistency[0]
+            edge_mask = scenario.geometry.partition.edge_mask[0]
             gain = float(scenario.params["gate_gain"])
             bias = float(scenario.params["gate_bias"])
-            closed_form = 1.0 / (1.0 + np.exp(-(gain * geometry.consistency + bias)))
-            closed_form[geometry.partition.edge_mask] = 0.5
+            closed_form = 1.0 / (1.0 + np.exp(-(gain * consistency + bias)))
+            closed_form[edge_mask] = 0.5
             expected = partition_by_quantile(closed_form)
             assert np.array_equal(scenario.contrast_partition.stable, expected.stable)
             assert np.array_equal(scenario.contrast_partition.unstable, expected.unstable)
@@ -117,19 +156,114 @@ class TestProbeReuse:
     def test_one_scenario_computes_each_part_as_often_as_predicted(self, monkeypatch):
         counts = count_parts(monkeypatch)
         run_gradient_checks(n_seeds=1)
-        # Three geometries per _losses call. Each part runs once per geometry
+        # One batch of three geometries per _losses call. Each part runs once
         # in the margin probe, once in the taped pass and once in each of the
         # probes that change it: 12 encoder, 24 branch, 12 head and 4 gate
         # probes of 40. The gate also runs once for the contrast partition.
-        assert counts == {"forward": 42, "branches": 78, "weights": 42, "gate": 19}
+        assert counts == {"forward": 14, "branches": 26, "weights": 14, "gate": 7}
 
     def test_taped_pass_rebuilds_every_part(self, monkeypatch):
         seeds = np.random.default_rng(0).integers(0, 2**31 - 1, size=4)
         scenario = next(s for s in map(_build_scenario, map(int, seeds)) if s is not None)
         stored = dict(scenario.prefix)
-        assert len(stored) == 4 * 3
+        assert set(stored) == {"features", "branches", "weights", "mask"}
         counts = count_parts(monkeypatch)
         checks._analytic_gradients(scenario)
-        assert counts == {"forward": 3, "branches": 3, "weights": 3, "gate": 3}
+        assert counts == {"forward": 1, "branches": 1, "weights": 1, "gate": 1}
         assert scenario.prefix.keys() == stored.keys()
         assert all(scenario.prefix[key] is part for key, part in stored.items())
+
+
+def per_geometry_inputs(seed):
+    """The anchor, positive and negative inputs of scenario ``seed``, each
+    built on its own: (depth feature stack, mask geometry)."""
+    rng = np.random.default_rng(seed)
+    seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
+    spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
+    return [(Tensor(standardize_stack(depth_feature_stack(depth, 8, 8))),
+             MaskGeometry.from_depth(align_depth(depth, 8, 8)))
+            for depth in (render_oblique(spec_a)[0], render_ortho(spec_a)[0],
+                          render_ortho(spec_b)[0])]
+
+
+def per_geometry_losses(params, scenario, inputs):
+    """The three losses with each geometry run through the chain on its own and
+    nothing reused: the eager form of ``checks._losses``."""
+    fusion = FusionParams(
+        mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
+        far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION),
+        head_weights=_as_tensor(params["head_weights"]),
+        head_bias=_as_tensor(params["head_bias"]),
+    )
+    gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
+    encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
+    embeddings = []
+    anchor_features = None
+    for x, geometry in inputs:
+        features = encoder.forward(x)
+        features = fuse(features, scale_branches(features, fusion), scale_weights(x, fusion))
+        features = modulate(features, geometry.mask(gate))
+        if anchor_features is None:
+            anchor_features = features
+        pooled = adaptive_avg_pool(features, 2, 2)
+        embeddings.append(l2_normalize(reshape(pooled, (16,))))
+    v_stable, v_unstable = aggregate_activation(
+        activation_map(anchor_features), scenario.contrast_partition
+    )
+    contrast = contrast_hinge(v_stable, v_unstable, scenario.margin)
+    triplet = soft_margin_triplet(*embeddings)
+    return {"contrast": contrast, "triplet": triplet, "total": total_loss(triplet, contrast)}
+
+
+class TestBatchedPass:
+    """``_losses`` runs the three geometries as one batch."""
+
+    def test_every_probe_equals_the_per_geometry_pass_bitwise(self, monkeypatch):
+        losses = checks._losses
+        calls = []
+
+        def recording(params, scenario):
+            values = losses(params, scenario)
+            calls.append((params, scenario, values))
+            return values
+
+        monkeypatch.setattr(checks, "_losses", recording)
+        run_gradient_checks(base_seed=3, n_seeds=2)
+        monkeypatch.undo()
+        seeds = np.random.default_rng(3).integers(0, 2**31 - 1, size=8)
+        built = [int(x) for x in seeds if _build_scenario(int(x)) is not None][:2]
+        inputs = {}  # the scenarios' params dicts, in order, mapped to their inputs
+        probes = 0
+        for params, scenario, values in calls:
+            key = id(scenario.params)
+            if key not in inputs:
+                inputs[key] = per_geometry_inputs(built[len(inputs)])
+            if any(isinstance(a, Tensor) for a in params.values()):
+                continue
+            expected = per_geometry_losses(params, scenario, inputs[key])
+            for name in LOSS_NAMES:
+                assert float(values[name].data).hex() == float(expected[name].data).hex()
+            probes += 1
+        assert len(inputs) == 2
+        assert probes == 2 * 41
+
+    def test_taped_gradients_match_the_per_geometry_pass(self):
+        seeds = np.random.default_rng(5).integers(0, 2**31 - 1, size=12)
+        pairs = ((s, _build_scenario(s)) for s in map(int, seeds))
+        scenarios = list(itertools.islice(((s, sc) for s, sc in pairs if sc is not None), 2))
+        assert len(scenarios) == 2
+        for seed, scenario in scenarios:
+            batched = checks._analytic_gradients(scenario)
+            tape = Tape()
+            leaves = {name: tape.leaf(arr) for name, arr in scenario.params.items()}
+            expected = per_geometry_losses(leaves, scenario, per_geometry_inputs(seed))
+            for loss_name in LOSS_NAMES:
+                for leaf in leaves.values():
+                    leaf.grad = None
+                tape.backward(expected[loss_name])
+                for name, leaf in leaves.items():
+                    got, want = batched[loss_name][name], leaf.grad
+                    assert got.shape == want.shape
+                    # Shared parameters now sum over the batch in one
+                    # reduction, so only the last bits may move.
+                    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

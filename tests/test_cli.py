@@ -323,6 +323,10 @@ class TestUsageErrors:
         (["gradcheck", "--eps", "1.7e308"],
          "--eps: step size 1.7e+308 is too large for the mid_kernel probes "
          "(tensor data must be finite)"),
+        # A positive step below the parameters' float spacing.
+        (["gradcheck", "--eps", "1e-320"],
+         "--eps: step size 1e-320 is too small for the mid_kernel probes "
+         "(a shifted coordinate is unchanged)"),
     ])
     def test_unusable_flag_value_is_named(self, tmp_path, capsys, argv, message):
         if argv[0] == "mask":

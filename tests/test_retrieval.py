@@ -54,8 +54,10 @@ def arm_inputs(arm, channels, seed=0):
 
 
 def embed_arm(depth, encoder, fusion=None, masked=False):
-    """``embed`` for the one arm that uses exactly the given fusion and mask."""
-    return embed(depth, encoder, [(fusion is not None, masked)], fusion)[0]
+    """``embed`` for the one arm that uses exactly the given fusion (none for
+    ``None``) and mask. An unfused arm passes a fusion that it never reads."""
+    used = FusionParams.smoothing(encoder.channels) if fusion is None else fusion
+    return embed(depth, encoder, [(fusion is not None, masked)], used)[0]
 
 
 def embed_one_arm(depth, encoder, fusion=None, masked=False):

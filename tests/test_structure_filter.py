@@ -455,9 +455,35 @@ class TestModulate:
             assert np.all(np.abs(out) <= 2.0 * np.abs(f))
             assert np.array_equal(np.sign(out), np.sign(f))
 
+    def test_single_map_gives_the_broadcast_product_bytes(self):
+        rng = np.random.default_rng(31)
+        f = rng.normal(size=(2, 3, 4, 4))
+        m = rng.uniform(0.01, 0.99, size=(4, 4))
+        out = modulate(Tensor(f), GeoMask(Tensor(m), np.zeros((4, 4), dtype=bool)))
+        assert out.data.tobytes() == (f * (m[None, None] + 1.0)).tobytes()
+
+    def test_stacked_maps_modulate_their_own_batch_items(self):
+        rng = np.random.default_rng(32)
+        f = rng.normal(size=(3, 2, 4, 4))
+        maps = rng.uniform(0.01, 0.99, size=(3, 4, 4))
+        edges = maps > 0.8
+        maps[edges] = 0.5
+        tape = Tape()
+        leaf = tape.leaf(maps)
+        out = modulate(Tensor(f), GeoMask(leaf, edges))
+        for i in range(3):
+            alone = modulate(Tensor(f[i:i + 1]), GeoMask(Tensor(maps[i]), edges[i]))
+            assert out.data[i:i + 1].tobytes() == alone.data.tobytes()
+        tape.backward(sum_all(out))
+        assert np.allclose(leaf.grad, f.sum(axis=1), rtol=0.0, atol=1e-14)
+
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             modulate(Tensor(np.ones((1, 1, 3, 3))), self.neutral_mask(4, 4))
+        stacked = GeoMask(Tensor(np.full((3, 4, 4), 0.5)), np.zeros((3, 4, 4), dtype=bool))
+        with pytest.raises(ValueError, match=r"^feature batch of 2 does not match "
+                                             r"mask \(3, 4, 4\)$"):
+            modulate(Tensor(np.ones((2, 1, 4, 4))), stacked)
         with pytest.raises(ValueError, match="4-d"):
             modulate(Tensor(np.ones((3, 3))), self.neutral_mask(3, 3))
 
