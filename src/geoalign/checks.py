@@ -29,24 +29,19 @@ from .autodiff import (
     Tape,
     Tensor,
     _as_tensor,
-    adaptive_avg_pool,
-    add,
     float_policy,
-    l2_normalize,
-    mul,
     reshape,
     select_index,
 )
 from .losses import (
     ActivationPartition,
-    activation_map,
-    aggregate_activation,
-    contrast_hinge,
+    ContrastReport,
+    contrast_loss,
     partition_by_quantile,
     soft_margin_triplet,
     total_loss,
 )
-from .retrieval import ToyEncoder, standardize_stack
+from .retrieval import ToyEncoder, pooled_embeddings, standardize_stack
 from .scale_fusion import (
     FAR_DILATION,
     MID_DILATION,
@@ -145,8 +140,8 @@ def _build_scenario(seed: int) -> _Scenario | None:
     # would park the contrast hinge at zero and reduce its gradient check to
     # 0 == 0. Raise the margin until the hinge is active with 0.5 of slack, so
     # the compared gradients are the real ones.
-    gap = float(_losses(params, scenario)["activation_gap"].data)
-    return replace(scenario, margin=max(0.5, gap + 0.5))
+    _, report = _losses(params, scenario)
+    return replace(scenario, margin=max(0.5, report.v_stable - report.v_unstable + 0.5))
 
 
 def _part(scenario: _Scenario, params: dict, name: str, fn, *args):
@@ -165,11 +160,11 @@ def _part(scenario: _Scenario, params: dict, name: str, fn, *args):
     return scenario.prefix[name]
 
 
-def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
-    """The three losses of one scenario, with the whole chain run once for the
-    batch of three maps. Every forward op works per map, so the losses are the
-    floats a per-map pass gives; only the shared parameters' gradients differ,
-    summed over the batch in one reduction."""
+def _losses(params: dict, scenario: _Scenario) -> tuple[dict[str, Tensor], ContrastReport]:
+    """The three losses of one scenario and the anchor's contrast report, with
+    the chain run once for the batch of three maps. Every forward op works per
+    map, so the losses are the floats a per-map pass gives; only the shared
+    parameters' gradients differ, summed over the batch in one reduction."""
     fusion = FusionParams(
         mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
         far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION),
@@ -184,27 +179,19 @@ def _losses(params: dict, scenario: _Scenario) -> dict[str, Tensor]:
     weights = _part(scenario, params, "weights", scale_weights, x, fusion)
     mask = _part(scenario, params, "mask", scenario.geometry.mask, gate)
     features = modulate(fuse(features, branches, weights), mask)
-    n, c, h, w = features.shape
-    pooled = reshape(adaptive_avg_pool(features, _POOL, _POOL), (n, c * _POOL * _POOL))
-    embeddings = [l2_normalize(select_index(pooled, 0, i)) for i in range(n)]
-    anchor_features = reshape(select_index(features, 0, 0), (1, c, h, w))
-    v_stable, v_unstable = aggregate_activation(
-        activation_map(anchor_features), scenario.contrast_partition
-    )
-    contrast = contrast_hinge(v_stable, v_unstable, scenario.margin)
+    embeddings = pooled_embeddings(features, _POOL)
+    anchor_features = reshape(select_index(features, 0, 0), (1, *features.shape[1:]))
+    contrast, report = contrast_loss(anchor_features, scenario.contrast_partition,
+                                     scenario.margin)
     triplet = soft_margin_triplet(*embeddings)
-    return {
-        "contrast": contrast,
-        "triplet": triplet,
-        "total": total_loss(triplet, contrast),
-        "activation_gap": add(v_stable, mul(v_unstable, -1.0)),
-    }
+    return {"contrast": contrast, "triplet": triplet,
+            "total": total_loss(triplet, contrast)}, report
 
 
 def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in scenario.params.items()}
-    losses = _losses(leaves, scenario)
+    losses, _ = _losses(leaves, scenario)
     gradients: dict[str, dict[str, Array]] = {}
     for loss_name in LOSS_NAMES:
         for leaf in leaves.values():
@@ -267,7 +254,7 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
                         # overflowed (non-finite) tensor: name the step.
                         try:
                             with np.errstate(over="ignore"):
-                                values = _losses(shifted, scenario)
+                                values, _ = _losses(shifted, scenario)
                         except (ValueError, FloatingPointError) as exc:
                             reason = exc if isinstance(exc, ValueError) else NOT_FINITE
                             raise ValueError(f"step size {eps} is too large for the "

@@ -29,7 +29,6 @@ from .autodiff import (
     relu,
     sum_all,
 )
-from .structure_filter import GeoMask
 
 # Sharpness of the soft-margin triplet: the squared-distance gap is scaled by
 # this before the softplus.
@@ -77,7 +76,7 @@ def partition_by_quantile(mask, q_high: float = 0.7,
     """
     if not 0.0 < q_low < q_high < 1.0:
         raise ValueError(f"need 0 < q_low < q_high < 1, got {(q_low, q_high)}")
-    values = mask.values if isinstance(mask, GeoMask) else np.asarray(mask, dtype=np.float64)
+    values = np.asarray(mask, dtype=np.float64)
     flat = np.sort(values, axis=None)
     n = flat.size
     tau_high = float(flat[math.ceil(q_high * n) - 1])
@@ -134,21 +133,26 @@ class ContrastReport:
     evaluable: bool
 
 
+def contrast_loss(features: Tensor, partition: ActivationPartition,
+                  margin: float = 0.5) -> tuple[Tensor, ContrastReport]:
+    """Contrast region activations under a given partition: activation map,
+    region means, hinge. Raises ``EmptyPartitionError`` on an empty region."""
+    v_stable, v_unstable = aggregate_activation(activation_map(features), partition)
+    loss = contrast_hinge(v_stable, v_unstable, margin)
+    return loss, ContrastReport(v_stable.item(), v_unstable.item(), loss.item(),
+                                evaluable=True)
+
+
 def activation_contrast_loss(features: Tensor, mask) -> tuple[Tensor, ContrastReport]:
     """Full pipeline: partition the mask, contrast region activations.
 
     An empty region contributes zero loss rather than an error, so degenerate
     masks (e.g. constant) are safe inside a training loop.
     """
-    partition = partition_by_quantile(mask)
-    act = activation_map(features)
     try:
-        v_stable, v_unstable = aggregate_activation(act, partition)
+        return contrast_loss(features, partition_by_quantile(mask))
     except EmptyPartitionError:
         return Tensor(0.0), ContrastReport(float("nan"), float("nan"), 0.0, evaluable=False)
-    loss = contrast_hinge(v_stable, v_unstable)
-    return loss, ContrastReport(v_stable.item(), v_unstable.item(), loss.item(),
-                                evaluable=True)
 
 
 def _check_unit(name: str, v: Tensor) -> None:

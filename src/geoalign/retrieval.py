@@ -33,6 +33,7 @@ from .autodiff import (
     float_policy,
     l2_normalize,
     reshape,
+    select_index,
     sigmoid,
 )
 from .scale_fusion import (
@@ -124,6 +125,14 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
     return DepthMap(values - coef[0] * cols - coef[1] * rows)
 
 
+def pooled_embeddings(features: Tensor, pool: int) -> list[Tensor]:
+    """One unit-norm embedding per item of ``(B, C, H, W)`` features: the item
+    average-pooled to ``pool x pool``, flattened and L2-normalized."""
+    n, c = features.shape[:2]
+    pooled = reshape(adaptive_avg_pool(features, pool, pool), (n, c * pool * pool))
+    return [l2_normalize(select_index(pooled, 0, i)) for i in range(n)]
+
+
 def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
           fusion: FusionParams) -> list[Tensor]:
     """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
@@ -131,12 +140,12 @@ def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, 
 
     The depth map is plane-detrended, reduced to fixed derived channels and
     encoded; the features are optionally fused across scales and optionally
-    modulated by the geometric mask under the default gate, then globally average-pooled to one
-    value per channel. The mask is computed from the original depth map —
-    handling oblique geometry is its job — while the encoder sees the
-    detrended one. The encoder, the fusion and the mask each run at most once
-    for all pairs; only the modulation, pooling and normalization run per
-    pair. Only fused pairs read ``fusion``.
+    modulated by the geometric mask under the default gate, then globally
+    average-pooled (``pooled_embeddings`` at pool 1). The mask is computed from
+    the original depth map — handling oblique geometry is its job — while the
+    encoder sees the detrended one. The encoder, the fusion and the mask each
+    run at most once for all pairs; only the modulation, pooling and
+    normalization run per pair. Only fused pairs read ``fusion``.
     """
     stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *FEATURE_GRID)))
     plain = encoder.forward(stack)
@@ -148,8 +157,7 @@ def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, 
     for fused, masked in arm_parts:
         features = fused_features if fused else plain
         features = modulate(features, mask) if masked else features
-        pooled = adaptive_avg_pool(features, 1, 1)
-        embeddings.append(l2_normalize(reshape(pooled, (encoder.channels,))))
+        embeddings += pooled_embeddings(features, 1)
     return embeddings
 
 

@@ -381,9 +381,8 @@ class MaskGeometry:
 
 
 def structure_mask(depth: DepthMap, h: int, w: int,
-                   gate: GateParams = GateParams(),
                    cfg: FilterConfig = FilterConfig()) -> GeoMask:
-    """Full depth -> attention-mask pipeline at resolution (h, w), under the
-    floating-point policy."""
+    """Full depth -> attention-mask pipeline at resolution (h, w) under the
+    default gate, run under the floating-point policy."""
     with float_policy():
-        return MaskGeometry.from_depth(align_depth(depth, h, w), cfg).mask(gate)
+        return MaskGeometry.from_depth(align_depth(depth, h, w), cfg).mask()

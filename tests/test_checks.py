@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geoalign import checks, structure_filter
+from geoalign import checks, losses as losses_module, retrieval, structure_filter
 from geoalign.autodiff import (
     Kernel2D,
     Tape,
@@ -146,12 +146,13 @@ class TestProbeReuse:
                   if not any(isinstance(a, Tensor) for a in p.values())]
         # Per scenario: the margin probe and 40 finite-difference probes.
         assert len(probes) == 2 * 41
-        for params, scenario, values in probes:
+        for params, scenario, (values, report) in probes:
             # Copies share no array with the scenario, so nothing is reused.
-            fresh = losses({g: a.copy() for g, a in params.items()}, scenario)
-            assert set(fresh) == set(values) == {*LOSS_NAMES, "activation_gap"}
+            fresh, fresh_report = losses({g: a.copy() for g, a in params.items()}, scenario)
+            assert set(fresh) == set(values) == set(LOSS_NAMES)
             for name in fresh:
                 assert values[name].data.tobytes() == fresh[name].data.tobytes()
+            assert report == fresh_report
 
     def test_one_scenario_computes_each_part_as_often_as_predicted(self, monkeypatch):
         counts = count_parts(monkeypatch)
@@ -234,7 +235,7 @@ class TestBatchedPass:
         built = [int(x) for x in seeds if _build_scenario(int(x)) is not None][:2]
         inputs = {}  # the scenarios' params dicts, in order, mapped to their inputs
         probes = 0
-        for params, scenario, values in calls:
+        for params, scenario, (values, _) in calls:
             key = id(scenario.params)
             if key not in inputs:
                 inputs[key] = per_geometry_inputs(built[len(inputs)])
@@ -267,3 +268,40 @@ class TestBatchedPass:
                     # Shared parameters now sum over the batch in one
                     # reduction, so only the last bits may move.
                     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+class TestSharedChains:
+    """gradcheck runs the embedding tail and the contrast chain that bench and
+    criterion 07 run, not copies of them."""
+
+    def test_bench_and_gradcheck_reach_the_same_chains(self, monkeypatch):
+        assert checks.pooled_embeddings is retrieval.pooled_embeddings
+        assert checks.contrast_loss is losses_module.contrast_loss
+        tails, contrasts = [], []
+
+        def counted(calls, fn):
+            def wrapper(features, *args):
+                calls.append((features.shape[0], *args))
+                return fn(features, *args)
+            return wrapper
+
+        tail, contrast = retrieval.pooled_embeddings, losses_module.contrast_loss
+        for module in (retrieval, checks):
+            monkeypatch.setattr(module, "pooled_embeddings", counted(tails, tail))
+        for module in (losses_module, checks):
+            monkeypatch.setattr(module, "contrast_loss", counted(contrasts, contrast))
+        retrieval.run_experiment(n_scenes=2, channels=8)
+        # One single-map batch pooled to 1x1 per arm, map and view.
+        assert tails == [(1, 1)] * (4 * 2 * 2)
+        assert contrasts == []
+        del tails[:]
+        run_gradient_checks(n_seeds=1)
+        # The margin probe, the taped pass and 40 finite-difference probes:
+        # the batch of three maps pooled to 2x2, and the anchor's contrast.
+        assert tails == [(3, 2)] * 42
+        # The anchor alone, on the scenario's frozen partition; the margin
+        # probe runs at 0.5 and every later call at the raised margin.
+        assert [n for n, _, _ in contrasts] == [1] * 42
+        assert len({id(partition) for _, partition, _ in contrasts}) == 1
+        margins = [margin for _, _, margin in contrasts]
+        assert margins[0] == 0.5 and len(set(margins[1:])) == 1

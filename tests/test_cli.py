@@ -8,7 +8,7 @@ import pytest
 from geoalign import cli
 from geoalign.cli import main
 from geoalign.formats import read_f64_raster, read_u8_raster, write_f64_raster, write_u8_raster
-from geoalign.structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry, structure_mask
+from geoalign.structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry, align_depth
 
 GROUND_ONLY = "ground 40.0\nraster 32 32\n"
 THREE_BOXES = """\
@@ -141,7 +141,7 @@ class TestMask:
         depth = DepthMap(read_f64_raster(path))
         gate = GateParams(gain=2.0, bias=0.3)
         cfg = FilterConfig(gradient_dilation=3, edge_quantile=0.7, clusters=2, cluster_seed=4)
-        expected = structure_mask(depth, *depth.shape, gate, cfg).values
+        expected = MaskGeometry.from_depth(align_depth(depth, *depth.shape), cfg).mask(gate).values
         assert read_f64_raster(prefix + ".mask.geod").tobytes() == expected.tobytes()
         geometry = MaskGeometry.from_depth(depth, cfg)
         row = (tmp_path / "boxes.stats.csv").read_text().splitlines()[1].split(",")

@@ -14,11 +14,11 @@ from geoalign.losses import (
     activation_map,
     aggregate_activation,
     contrast_hinge,
+    contrast_loss,
     partition_by_quantile,
     soft_margin_triplet,
     total_loss,
 )
-from geoalign.structure_filter import GeoMask
 
 
 def unit(vec):
@@ -61,14 +61,6 @@ class TestPartitionByQuantile:
         part = partition_by_quantile(values, q_high=0.7, q_low=0.3)
         assert part.n_stable == n - math.ceil(0.7 * n)
         assert part.n_unstable == math.floor(0.3 * n)
-
-    def test_accepts_geomask_values(self):
-        values = np.linspace(0.1, 0.9, 16).reshape(4, 4)
-        geo = GeoMask(Tensor(values), np.zeros((4, 4), dtype=bool))
-        part_geo = partition_by_quantile(geo)
-        part_arr = partition_by_quantile(values)
-        assert np.array_equal(part_geo.stable, part_arr.stable)
-        assert np.array_equal(part_geo.unstable, part_arr.unstable)
 
     def test_quantile_order_is_validated(self):
         mask = np.linspace(0.1, 0.9, 9)
@@ -183,6 +175,37 @@ class TestActivationContrastLoss:
         selected = part.stable | part.unstable
         assert np.all(grid[~selected] == 0.0)
         assert np.all(grid[selected] != 0.0)
+
+    def test_is_contrast_loss_on_the_quantile_partition_bitwise(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(1, 3, 6, 6))
+        mask = rng.uniform(0.05, 0.95, size=(6, 6))
+        results = []
+        for loss_fn in (lambda f: activation_contrast_loss(f, mask),
+                        lambda f: contrast_loss(f, partition_by_quantile(mask))):
+            tape = Tape()
+            features = tape.leaf(values)
+            loss, report = loss_fn(features)
+            tape.backward(loss)
+            results.append((loss.data.tobytes(), report, features.grad.tobytes()))
+        assert results[0][1].evaluable and results[0][1].loss > 0.0
+        assert results[0] == results[1]
+
+
+class TestContrastLoss:
+    def test_margin_shifts_the_active_hinge(self):
+        rng = np.random.default_rng(5)
+        features = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        part = partition_by_quantile(rng.permutation(np.linspace(0.05, 0.95, 16)).reshape(4, 4))
+        _, report = contrast_loss(features, part, margin=0.0)
+        loss, wide = contrast_loss(features, part, margin=10.0)
+        assert (wide.v_stable, wide.v_unstable) == (report.v_stable, report.v_unstable)
+        assert loss.item() == wide.loss == 10.0 + wide.v_unstable - wide.v_stable
+
+    def test_empty_region_raises(self):
+        part = partition_by_quantile(np.full((4, 4), 0.5))
+        with pytest.raises(EmptyPartitionError, match="empty partition"):
+            contrast_loss(Tensor(np.ones((1, 2, 4, 4))), part)
 
 
 class TestSoftMarginTriplet:

@@ -32,7 +32,7 @@ from geoalign.scale_fusion import (
     scale_weights,
 )
 from geoalign.scenes import Box, SceneSpec, facade_heavy_spec, render_oblique, render_ortho
-from geoalign.structure_filter import DepthMap, GateParams, modulate, structure_mask
+from geoalign.structure_filter import DepthMap, modulate, structure_mask
 
 
 EASY_A = SceneSpec(40.0, (Box(26, 26, 12, 12, 18.0),), (0.03, 0.02),
@@ -69,7 +69,7 @@ def embed_one_arm(depth, encoder, fusion=None, masked=False):
         features = fuse(features, scale_branches(features, fusion),
                         scale_weights(stack, fusion))
     if masked:
-        features = modulate(features, structure_mask(depth, h, w, GateParams(), ARM_FILTER_CONFIG))
+        features = modulate(features, structure_mask(depth, h, w, ARM_FILTER_CONFIG))
     pooled = adaptive_avg_pool(features, 1, 1)
     return l2_normalize(reshape(pooled, (encoder.channels,)))
 

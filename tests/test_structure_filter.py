@@ -20,6 +20,7 @@ from geoalign.structure_filter import (
     FilterConfig,
     GateParams,
     GeoMask,
+    MaskGeometry,
     NormalField,
     _kmeans_pp,
     adaptive_gate,
@@ -40,7 +41,7 @@ def filter_features(features, depth, gate=GateParams(), cfg=FilterConfig()):
     """Mask at the feature grid, then modulate: the retrieval arms' masking step."""
     if features.data.ndim != 4:
         raise ValueError(f"features must be 4-d, got shape {features.shape}")
-    mask = structure_mask(depth, *features.data.shape[2:], gate, cfg)
+    mask = MaskGeometry.from_depth(align_depth(depth, *features.data.shape[2:]), cfg).mask(gate)
     return modulate(features, mask), mask
 
 
@@ -380,8 +381,8 @@ class TestConsistencyAndGate:
         assert gate.bias.grad is not None and gate.bias.grad != 0.0
 
     def test_gate_params_are_frozen(self):
-        # One instance is the shared default of adaptive_gate, MaskGeometry.mask
-        # and structure_mask, so an assignment would change every later call.
+        # One instance is the shared default of adaptive_gate and
+        # MaskGeometry.mask, so an assignment would change every later call.
         gate = GateParams()
         with pytest.raises(dataclasses.FrozenInstanceError):
             gate.gain = 1.0
@@ -509,7 +510,8 @@ class TestStructureMaskPipeline:
     def test_zeroed_gate_masks_everything_at_half(self):
         rng = np.random.default_rng(9)
         depth = DepthMap(40.0 + rng.normal(size=(32, 32)))
-        mask = structure_mask(depth, 16, 16, GateParams(gain=0.0, bias=0.0))
+        mask = MaskGeometry.from_depth(align_depth(depth, 16, 16)).mask(
+            GateParams(gain=0.0, bias=0.0))
         assert np.array_equal(mask.values, np.full((16, 16), 0.5))
 
     def test_deterministic(self):
