@@ -7,8 +7,12 @@
 # Each tree is a checkout of this repository; its package is imported from
 # <tree>/src. The commands cover the default outputs of every subcommand:
 # synth (README spec, both views), mask (default flags and one non-default
-# set), eval, bench and gradcheck. Outputs land in WORK_DIR/base and
-# WORK_DIR/head (default: a new temporary directory), which end in `diff -r`.
+# set), eval, bench and gradcheck. Because `gradcheck` prints its errors to
+# three digits only, gradcheck_hex.txt also lists `group loss
+# max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
+# at one scenario each, so the errors must match bit for bit. Outputs land in
+# WORK_DIR/base and WORK_DIR/head (default: a new temporary directory), which
+# end in `diff -r`.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
@@ -39,6 +43,15 @@ run_commands() {
     python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
     python -m geoalign gradcheck --seed 0 > gradcheck.txt
+    python - > gradcheck_hex.txt <<'PY'
+from geoalign.checks import run_gradient_checks
+
+batteries = [("default", run_gradient_checks())]
+batteries += [(f"seed{s}", run_gradient_checks(base_seed=s, n_seeds=1)) for s in range(64)]
+for label, rows in batteries:
+    for r in rows:
+        print(label, r.group, r.loss, r.max_rel_err.hex(), r.n_evals)
+PY
   )
 }
 

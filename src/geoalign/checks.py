@@ -25,10 +25,8 @@ import numpy as np
 from .autodiff import (
     NOT_FINITE,
     Array,
-    Kernel2D,
     Tape,
     Tensor,
-    _as_tensor,
     float_policy,
     reshape,
     select_index,
@@ -43,8 +41,6 @@ from .losses import (
 )
 from .retrieval import ToyEncoder, pooled_embeddings, standardize_stack
 from .scale_fusion import (
-    FAR_DILATION,
-    MID_DILATION,
     FusionParams,
     depth_feature_stack,
     fuse,
@@ -165,12 +161,8 @@ def _losses(params: dict, scenario: _Scenario) -> tuple[dict[str, Tensor], Contr
     the chain run once for the batch of three maps. Every forward op works per
     map, so the losses are the floats a per-map pass gives; only the shared
     parameters' gradients differ, summed over the batch in one reduction."""
-    fusion = FusionParams(
-        mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
-        far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION),
-        head_weights=_as_tensor(params["head_weights"]),
-        head_bias=_as_tensor(params["head_bias"]),
-    )
+    fusion = FusionParams(params["mid_kernel"], params["far_kernel"],
+                          params["head_weights"], params["head_bias"])
     gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
     encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
     x = scenario.stack
@@ -202,6 +194,7 @@ def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
                    if leaves[name].grad is None else leaves[name].grad.copy())
             for name in leaves
         }
+    tape._nodes.clear()  # its tensors refer back to it; unlinked, refcounting frees the pass
     return gradients
 
 

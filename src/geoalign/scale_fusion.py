@@ -37,58 +37,24 @@ from .structure_filter import DepthMap, align_depth, macro_gradient
 
 MID_DILATION = 2
 FAR_DILATION = 4
+SMOOTHING_MIX = 0.4
 
 
-class ScaleWeights:
-    """Per-pixel convex weights over the three scales, shape (B, 3, 1, H, W)."""
-
-    def __init__(self, weights: Tensor):
-        shape = weights.data.shape
-        if len(shape) != 5 or shape[1] != 3 or shape[2] != 1:
-            raise ValueError(f"scale weights must be (B, 3, 1, H, W), got {shape}")
-        if np.min(weights.data) < 0.0 or np.max(weights.data) > 1.0:
-            raise ValueError("scale weights must lie in [0, 1]")
-        sums = weights.data.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise ValueError("scale weights must sum to one across the scale axis")
-        self.weights = weights
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.weights.data.shape
-
-
-@dataclass
+@dataclass(frozen=True)
 class FusionParams:
     """Branch stencils plus the scale-prediction head.
 
-    ``mid_kernel`` and ``far_kernel`` are depthwise 3x3 stencils at dilations
-    2 and 4. ``head_weights`` (3 x depth-channels) and ``head_bias`` (3,) map
-    mean-centered depth features to scale logits.
+    ``mid_kernel`` and ``far_kernel`` are ``(C, 3, 3)`` depthwise stencils,
+    applied at dilations ``MID_DILATION`` and ``FAR_DILATION``.
+    ``head_weights`` (3 x depth channels) and ``head_bias`` (3,) map
+    mean-centered depth features to scale logits. A copy made with
+    ``dataclasses.replace`` may hold tape leaves in place of any of them.
     """
 
-    mid_kernel: Kernel2D
-    far_kernel: Kernel2D
-    head_weights: Tensor
-    head_bias: Tensor
-
-    def __post_init__(self):
-        if self.mid_kernel.dilation != MID_DILATION:
-            raise ValueError(f"mid kernel dilation must be {MID_DILATION}")
-        if self.far_kernel.dilation != FAR_DILATION:
-            raise ValueError(f"far kernel dilation must be {FAR_DILATION}")
-        if self.head_weights.data.ndim != 2 or self.head_weights.data.shape[0] != 3:
-            raise ValueError(
-                f"head weights must be (3, depth_channels), got {self.head_weights.shape}"
-            )
-        if self.head_bias.data.shape != (3,):
-            raise ValueError(f"head bias must be (3,), got {self.head_bias.shape}")
-
-    @property
-    def depth_channels(self) -> int:
-        return self.head_weights.data.shape[1]
-
-    SMOOTHING_MIX = 0.4
+    mid_kernel: Array | Tensor
+    far_kernel: Array | Tensor
+    head_weights: Array | Tensor
+    head_bias: Array | Tensor
 
     @classmethod
     def smoothing(cls, channels: int, seed: int = 0) -> "FusionParams":
@@ -97,15 +63,15 @@ class FusionParams:
         Each branch kernel blends the center tap with a normalized box
         average (weights sum to one), so branches smooth without washing
         structure out; an all-identity block would cancel out of cosine
-        similarity, which is why the retrieval harness uses this one.
+        similarity, which is why the retrieval harness uses this one. The
+        fields are wrapped as tensors here, once, rather than on every use.
         """
         rng = np.random.default_rng(seed)
-        mix = cls.SMOOTHING_MIX
-        kernel = np.full((channels, 3, 3), mix / 9.0)
-        kernel[:, 1, 1] += 1.0 - mix
+        kernel = np.full((channels, 3, 3), SMOOTHING_MIX / 9.0)
+        kernel[:, 1, 1] += 1.0 - SMOOTHING_MIX
         return cls(
-            mid_kernel=Kernel2D(kernel.copy(), dilation=MID_DILATION),
-            far_kernel=Kernel2D(kernel.copy(), dilation=FAR_DILATION),
+            mid_kernel=Tensor(kernel.copy()),
+            far_kernel=Tensor(kernel.copy()),
             head_weights=Tensor(rng.normal(0.0, 0.1, (3, DEPTH_CHANNELS))),
             head_bias=Tensor(np.zeros(3)),
         )
@@ -116,30 +82,27 @@ def scale_branches(features: Tensor, params: FusionParams) -> tuple[Tensor, Tens
     view is ``features`` itself."""
     if features.data.ndim != 4:
         raise ValueError(f"features must be 4-d, got shape {features.shape}")
-    return conv2d(features, params.mid_kernel), conv2d(features, params.far_kernel)
+    return (conv2d(features, Kernel2D(params.mid_kernel, MID_DILATION)),
+            conv2d(features, Kernel2D(params.far_kernel, FAR_DILATION)))
 
 
-def scale_weights(depth_features: Tensor, params: FusionParams) -> ScaleWeights:
-    """Predict the per-pixel scale blend from depth-derived channels.
+def scale_weights(depth_features: Tensor, params: FusionParams) -> Tensor:
+    """Predict the per-pixel scale blend from depth-derived channels: convex
+    weights over the three scales, shape (B, 3, 1, H, W).
 
     The features are mean-centered per channel before the projection, so a
     constant depth offset cannot change the prediction.
     """
     if depth_features.data.ndim != 4:
         raise ValueError(f"depth features must be 4-d, got {depth_features.shape}")
-    b, c, h, w = depth_features.data.shape
-    if c != params.depth_channels:
-        raise ValueError(
-            f"head expects {params.depth_channels} depth channels, got {c}"
-        )
+    b, _, h, w = depth_features.data.shape
     spatial_mean = mean_over_axis(mean_over_axis(depth_features, 3), 2)
     centered = add(depth_features, mul(spatial_mean, -1.0))
     logits = channel_project(centered, params.head_weights, params.head_bias)
-    w5 = reshape(softmax_over_axis(logits, axis=1), (b, 3, 1, h, w))
-    return ScaleWeights(w5)
+    return reshape(softmax_over_axis(logits, axis=1), (b, 3, 1, h, w))
 
 
-def fuse(features: Tensor, branches: tuple[Tensor, Tensor], weights: ScaleWeights) -> Tensor:
+def fuse(features: Tensor, branches: tuple[Tensor, Tensor], weights: Tensor) -> Tensor:
     """Residual weighted blend over the near (``features``), mid and far
     views: f + sum_s w_s * branch_s."""
     b, c, h, w = features.data.shape
@@ -154,7 +117,7 @@ def fuse(features: Tensor, branches: tuple[Tensor, Tensor], weights: ScaleWeight
             )
     out = features
     for s, branch in enumerate((features, *branches)):
-        w_s = select_index(weights.weights, axis=1, index=s)  # (B, 1, H, W)
+        w_s = select_index(weights, axis=1, index=s)  # (B, 1, H, W)
         out = add(out, mul(w_s, branch))
     return out
 

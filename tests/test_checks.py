@@ -1,17 +1,17 @@
 """The gradient-check battery that backs the `gradcheck` command."""
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from geoalign import checks, losses as losses_module, retrieval, structure_filter
+from geoalign import autodiff, checks, losses as losses_module, retrieval, structure_filter
 from geoalign.autodiff import (
-    Kernel2D,
     Tape,
     Tensor,
-    _as_tensor,
     adaptive_avg_pool,
     l2_normalize,
     reshape,
@@ -27,8 +27,6 @@ from geoalign.losses import (
 )
 from geoalign.retrieval import ToyEncoder, standardize_stack
 from geoalign.scale_fusion import (
-    FAR_DILATION,
-    MID_DILATION,
     FusionParams,
     depth_feature_stack,
     fuse,
@@ -89,6 +87,24 @@ class TestRunGradientChecks:
                                              rf"{group} probes \(a shifted coordinate "
                                              r"is unchanged\)$"):
             run_gradient_checks(n_seeds=1, eps=eps)
+
+    def test_every_tape_is_freed_without_the_cycle_collector(self, monkeypatch):
+        built = []
+        init = autodiff.Tape.__init__
+
+        def recording(tape):
+            init(tape)
+            built.append(weakref.ref(tape))
+
+        monkeypatch.setattr(autodiff.Tape, "__init__", recording)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_gradient_checks(n_seeds=1)
+            assert built and all(ref() is None for ref in built)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_contrast_partition_matches_the_closed_form_mask(self):
         # The default battery: base seed 0, the first 20 scenarios that build.
@@ -190,12 +206,8 @@ def per_geometry_inputs(seed):
 def per_geometry_losses(params, scenario, inputs):
     """The three losses with each geometry run through the chain on its own and
     nothing reused: the eager form of ``checks._losses``."""
-    fusion = FusionParams(
-        mid_kernel=Kernel2D(params["mid_kernel"], MID_DILATION),
-        far_kernel=Kernel2D(params["far_kernel"], FAR_DILATION),
-        head_weights=_as_tensor(params["head_weights"]),
-        head_bias=_as_tensor(params["head_bias"]),
-    )
+    fusion = FusionParams(params["mid_kernel"], params["far_kernel"],
+                          params["head_weights"], params["head_bias"])
     gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
     encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
     embeddings = []

@@ -1,22 +1,23 @@
 """Depth-guided multi-scale fusion: branch construction, weight prediction,
 and the residual blend."""
 
+import dataclasses
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from geoalign.autodiff import Kernel2D, Tape, Tensor, mul, sum_all
+from geoalign.autodiff import Tape, Tensor, mul, sum_all
 from geoalign.scale_fusion import (
-    FAR_DILATION,
     MID_DILATION,
     FusionParams,
-    ScaleWeights,
     depth_feature_stack,
     fuse,
     scale_branches,
     scale_weights,
 )
 from geoalign.structure_filter import SOBEL_X, DepthMap, align_depth, macro_gradient
-from identity_params import delta_kernel, identity_fusion
+from identity_params import delta_stencils, identity_fusion
 
 
 def random_depth(seed, shape=(32, 32)):
@@ -31,16 +32,15 @@ def random_stack(seed, h=8, w=8):
 class TestFusionParams:
     def test_identity_uses_delta_stencils_and_zero_head(self):
         params = identity_fusion(4)
-        assert params.mid_kernel.dilation == MID_DILATION
-        assert params.far_kernel.dilation == FAR_DILATION
-        assert np.array_equal(params.head_weights.data, np.zeros((3, 3)))
-        assert np.array_equal(params.head_bias.data, np.zeros(3))
-        assert params.depth_channels == 3
+        assert np.array_equal(params.mid_kernel, delta_stencils(3, 4))
+        assert np.array_equal(params.far_kernel, delta_stencils(3, 4))
+        assert np.array_equal(params.head_weights, np.zeros((3, 3)))
+        assert np.array_equal(params.head_bias, np.zeros(3))
 
     def test_smoothing_kernels_are_normalized_center_heavy(self):
         params = FusionParams.smoothing(channels=4, seed=0)
         for kernel in (params.mid_kernel, params.far_kernel):
-            w = kernel.weights.data
+            w = kernel.data
             assert w.shape == (4, 3, 3)
             assert np.max(np.abs(w.sum(axis=(1, 2)) - 1.0)) < 1e-12
             assert np.all(w[:, 1, 1] > w[:, 0, 0])
@@ -52,18 +52,12 @@ class TestFusionParams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_dilation_and_head_shape_validation(self):
-        delta_mid = delta_kernel(3, 2, dilation=MID_DILATION)
-        delta_far = delta_kernel(3, 2, dilation=FAR_DILATION)
-        zeros_w, zeros_b = Tensor(np.zeros((3, 3))), Tensor(np.zeros(3))
-        with pytest.raises(ValueError, match="mid kernel dilation"):
-            FusionParams(delta_far, delta_far, zeros_w, zeros_b)
-        with pytest.raises(ValueError, match="far kernel dilation"):
-            FusionParams(delta_mid, delta_mid, zeros_w, zeros_b)
-        with pytest.raises(ValueError, match="head weights"):
-            FusionParams(delta_mid, delta_far, Tensor(np.zeros((2, 3))), zeros_b)
-        with pytest.raises(ValueError, match="head bias"):
-            FusionParams(delta_mid, delta_far, zeros_w, Tensor(np.zeros(2)))
+    def test_fusion_params_are_frozen(self):
+        # As with GateParams: a change goes through ``replace``, so a shared
+        # instance cannot be altered under another caller.
+        params = identity_fusion(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.head_bias = np.ones(3)
 
 
 class TestScaleBranches:
@@ -78,12 +72,7 @@ class TestScaleBranches:
         f = Tensor(np.full((1, 2, 8, 8), 5.0))
         stencil = np.zeros((2, 3, 3))
         stencil[:, 1] = [1.0, 2.0, -3.0]
-        params = FusionParams(
-            mid_kernel=Kernel2D(stencil, dilation=MID_DILATION),
-            far_kernel=delta_kernel(3, 2, dilation=FAR_DILATION),
-            head_weights=Tensor(np.zeros((3, 3))),
-            head_bias=Tensor(np.zeros(3)),
-        )
+        params = replace(identity_fusion(2), mid_kernel=stencil)
         mid, _ = scale_branches(f, params)
         assert np.array_equal(mid.data, np.zeros_like(f.data))
 
@@ -92,12 +81,7 @@ class TestScaleBranches:
         cols = np.arange(12, dtype=np.float64)
         f = Tensor(np.tile(slope * cols, (1, 2, 12, 1)).reshape(1, 2, 12, 12))
         stencil = np.tile(SOBEL_X / (8.0 * MID_DILATION), (2, 1, 1))
-        params = FusionParams(
-            mid_kernel=Kernel2D(stencil, dilation=MID_DILATION),
-            far_kernel=delta_kernel(3, 2, dilation=FAR_DILATION),
-            head_weights=Tensor(np.zeros((3, 3))),
-            head_bias=Tensor(np.zeros(3)),
-        )
+        params = replace(identity_fusion(2), mid_kernel=stencil)
         interior = scale_branches(f, params)[0].data[:, :, :, 2:-2]
         assert np.max(np.abs(interior - slope)) < 1e-12
 
@@ -110,17 +94,11 @@ class TestScaleWeights:
     def test_zero_head_predicts_uniform_thirds(self):
         w = scale_weights(random_stack(0), identity_fusion(4))
         assert w.shape == (1, 3, 1, 8, 8)
-        assert np.array_equal(w.weights.data,
-                              np.full((1, 3, 1, 8, 8), 1.0 / 3.0))
+        assert np.array_equal(w.data, np.full((1, 3, 1, 8, 8), 1.0 / 3.0))
 
     def test_bias_only_head_matches_softmax_of_bias(self):
-        params = FusionParams(
-            mid_kernel=delta_kernel(3, 4, dilation=MID_DILATION),
-            far_kernel=delta_kernel(3, 4, dilation=FAR_DILATION),
-            head_weights=Tensor(np.zeros((3, 3))),
-            head_bias=Tensor([10.0, 0.0, -10.0]),
-        )
-        w = scale_weights(random_stack(1), params).weights.data
+        params = replace(identity_fusion(4), head_bias=np.array([10.0, 0.0, -10.0]))
+        w = scale_weights(random_stack(1), params).data
         z = np.exp([0.0, -10.0, -20.0])
         want = z / z.sum()
         for s in range(3):
@@ -133,44 +111,38 @@ class TestScaleWeights:
         params = FusionParams.smoothing(4, seed=2)
         depth = random_depth(7)
         base = scale_weights(
-            Tensor(depth_feature_stack(depth, 8, 8)), params).weights.data
+            Tensor(depth_feature_stack(depth, 8, 8)), params).data
         shifted = scale_weights(
             Tensor(depth_feature_stack(DepthMap(depth.values + 123.0), 8, 8)),
-            params).weights.data
+            params).data
         assert np.max(np.abs(base - shifted)) < 1e-9
 
     def test_weights_are_convex_coefficients(self):
         for seed in range(10):
             params = FusionParams.smoothing(4, seed=seed)
-            w = scale_weights(random_stack(seed), params).weights.data
+            w = scale_weights(random_stack(seed), params).data
             assert np.min(w) >= 0.0 and np.max(w) <= 1.0
             assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError, match=r"\(B, 3, 1, H, W\)"):
-            ScaleWeights(Tensor(np.full((1, 2, 1, 4, 4), 0.5)))
-        bad = np.full((1, 3, 1, 4, 4), 1.0 / 3.0)
-        bad[0, 0, 0, 0, 0] = 0.5
-        with pytest.raises(ValueError, match="sum to one"):
-            ScaleWeights(Tensor(bad))
-        with pytest.raises(ValueError, match="depth channels"):
+        with pytest.raises(ValueError, match="projection expects 3 input channels, got 2"):
             scale_weights(Tensor(np.zeros((1, 2, 4, 4))),
                           identity_fusion(4))
+        two_rows = replace(identity_fusion(4), head_weights=np.zeros((2, 3)),
+                           head_bias=np.zeros(2))
+        with pytest.raises(ValueError, match="cannot reshape"):
+            scale_weights(random_stack(0), two_rows)
+        with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
+            scale_weights(random_stack(0), replace(identity_fusion(4), head_bias=np.zeros(2)))
 
 
 class TestFuse:
     def test_one_hot_near_weight_doubles_features(self):
         rng = np.random.default_rng(2)
         f = Tensor(rng.normal(size=(1, 4, 8, 8)))
-        params = FusionParams(
-            mid_kernel=delta_kernel(3, 4, dilation=MID_DILATION),
-            far_kernel=delta_kernel(3, 4, dilation=FAR_DILATION),
-            head_weights=Tensor(np.zeros((3, 3))),
-            head_bias=Tensor([1000.0, 0.0, 0.0]),
-        )
+        params = replace(identity_fusion(4), head_bias=np.array([1000.0, 0.0, 0.0]))
         weights = scale_weights(random_stack(2), params)
-        assert np.array_equal(
-            weights.weights.data[0, 0], np.ones((1, 8, 8)))
+        assert np.array_equal(weights.data[0, 0], np.ones((1, 8, 8)))
         fused = fuse(f, scale_branches(f, params), weights)
         assert np.array_equal(fused.data, 2.0 * f.data)
 
@@ -195,14 +167,9 @@ class TestFuse:
         rng = np.random.default_rng(4)
         f = Tensor(rng.normal(size=(1, 4, 8, 8)))
         zeros = Tensor(np.zeros_like(f.data))
-        params = FusionParams(
-            mid_kernel=delta_kernel(3, 4, dilation=MID_DILATION),
-            far_kernel=delta_kernel(3, 4, dilation=FAR_DILATION),
-            head_weights=Tensor(np.zeros((3, 3))),
-            head_bias=Tensor([-1000.0, 0.0, 0.0]),
-        )
+        params = replace(identity_fusion(4), head_bias=np.array([-1000.0, 0.0, 0.0]))
         weights = scale_weights(random_stack(4), params)
-        assert np.array_equal(weights.weights.data[0, 0], np.zeros((1, 8, 8)))
+        assert np.array_equal(weights.data[0, 0], np.zeros((1, 8, 8)))
         fused = fuse(f, (zeros, zeros), weights)
         assert np.array_equal(fused.data, f.data)
 
@@ -249,8 +216,8 @@ class TestFuse:
         kernel = np.full((2, 3, 3), 0.4 / 9.0)
         kernel[:, 1, 1] += 0.6
         params = FusionParams(
-            mid_kernel=Kernel2D(tape.leaf(kernel), dilation=MID_DILATION),
-            far_kernel=Kernel2D(tape.leaf(kernel.copy()), dilation=FAR_DILATION),
+            mid_kernel=tape.leaf(kernel),
+            far_kernel=tape.leaf(kernel.copy()),
             head_weights=tape.leaf(rng.normal(0, 0.1, (3, 3))),
             head_bias=tape.leaf(np.zeros(3)),
         )
@@ -261,8 +228,8 @@ class TestFuse:
         assert params.head_weights.grad is not None
         assert np.any(params.head_weights.grad != 0.0)
         assert params.head_bias.grad is not None
-        assert params.mid_kernel.weights.grad is not None
-        assert np.any(params.mid_kernel.weights.grad != 0.0)
+        assert params.mid_kernel.grad is not None
+        assert np.any(params.mid_kernel.grad != 0.0)
 
 
 class TestDepthFeatureStack:
