@@ -113,16 +113,18 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
     Cross-view pairs differ by a global attitude change on top of the
     structural differences; fitting and subtracting a plane leaves only the
     structure, which is what embeddings should compare. The constant term of
-    the fit is kept, so an already-level map passes through unchanged.
+    the fit is kept, so an already-level map passes through unchanged. The
+    fit is closed-form: on the full grid, centred column and row coordinates
+    are orthogonal to each other and to the constant, so each slope is the
+    column (row) sums dotted with them, over ``h`` (``w``) times their norm².
     """
     values = depth.values
     h, w = values.shape
-    rows, cols = np.mgrid[0:h, 0:w]
-    basis = np.column_stack(
-        [cols.ravel(), rows.ravel(), np.ones(h * w)]
-    )
-    coef, *_ = np.linalg.lstsq(basis, values.ravel(), rcond=None)
-    return DepthMap(values - coef[0] * cols - coef[1] * rows)
+    cols, rows = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
+    cx, cy = cols - (w - 1) / 2.0, rows - (h - 1) / 2.0
+    slope_x = (values.sum(axis=0) @ cx) / (h * (cx @ cx))
+    slope_y = (values.sum(axis=1) @ cy) / (w * (cy @ cy))
+    return DepthMap(values - slope_x * cols - slope_y * rows[:, None])
 
 
 def pooled_embeddings(features: Tensor, pool: int) -> list[Tensor]:

@@ -66,6 +66,8 @@ def check_spec_field(name: str, value) -> None:
     box bounds, box overlap) are checked by ``SceneSpec`` alone."""
     if name == "raster" and min(value) < 4:
         raise ValueError(f"raster too small: {value}")
+    if name == "raster" and value[0] * value[1] * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"raster too large: {value} is past NumPy's array size limit")
     if name == "noise_sigma" and value < 0.0:
         raise ValueError(f"noise sigma must be >= 0, got {value}")
     if name == "edge_band" and value < 1:
@@ -228,15 +230,13 @@ def render_oblique(spec: SceneSpec) -> tuple[DepthMap, LabelMap]:
                 (sy, depth.T, labels.T, box.y, box.h, slice(box.x, box.x + box.w))):
             if slope == 0.0:
                 continue
-            for d in range(1, width + 1):
-                col = lo + length - 1 + d if slope > 0 else lo - d
-                if not 0 <= col < d_view.shape[1]:
-                    continue
-                writable = l_view[across, col] != Label.ROOF
-                d_view[across, col] = np.where(writable, roof + step * d,
-                                               d_view[across, col])
-                l_view[across, col] = np.where(writable, Label.FACADE,
-                                               l_view[across, col])
+            d = np.arange(1, width + 1)
+            cols = lo + length - 1 + d if slope > 0 else lo - d
+            inside = (cols >= 0) & (cols < d_view.shape[1])
+            cols, d = cols[inside], d[inside]
+            writable = l_view[across, cols] != Label.ROOF
+            d_view[across, cols] = np.where(writable, roof + step * d, d_view[across, cols])
+            l_view[across, cols] = np.where(writable, Label.FACADE, l_view[across, cols])
     boundary = np.zeros((h, w), dtype=bool)
     boundary[:, 1:] |= labels[:, 1:] != labels[:, :-1]
     boundary[:, :-1] |= labels[:, 1:] != labels[:, :-1]

@@ -180,10 +180,9 @@ def macro_gradient(depth: DepthMap, dilation: int = 2) -> tuple[Array, Array]:
         raise ValueError(
             f"raster {depth.shape} smaller than the {2 * dilation + 1} pixel stencil"
         )
-    t = Tensor(depth.values[None, None])
-    scale = 1.0 / (8.0 * dilation)
-    gx = conv2d(t, Kernel2D(SOBEL_X[None] * scale, dilation=dilation)).data[0, 0]
-    gy = conv2d(t, Kernel2D(SOBEL_Y[None] * scale, dilation=dilation)).data[0, 0]
+    t = Tensor(np.broadcast_to(depth.values, (1, 2, h, w)))
+    stencils = np.stack([SOBEL_X, SOBEL_Y]) * (1.0 / (8.0 * dilation))
+    gx, gy = conv2d(t, Kernel2D(stencils, dilation=dilation)).data[0]
     return gx, gy
 
 

@@ -289,6 +289,13 @@ class TestElementwiseAndReductions:
         assert np.all(np.isfinite(s))
         assert s[0] == 1.0 and s[1] == 0.0
 
+    def test_sigmoid_matches_two_branch_logistic_bit_for_bit(self):
+        x = np.concatenate([[0.0, -0.0, 745.0, -745.0, 1e300, -1e300],
+                            np.random.default_rng(3).normal(0.0, 30.0, 500)])
+        z = np.exp(-np.abs(x))
+        want = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        assert np.array_equal(sigmoid(Tensor(x)).data.view(np.int64), want.view(np.int64))
+
     def test_log1p_exp_softplus_values(self):
         out = log1p_exp(Tensor([0.0, 100.0, -100.0])).data
         assert abs(out[0] - math.log(2.0)) < 1e-15
@@ -327,7 +334,39 @@ class TestElementwiseAndReductions:
         assert np.array_equal(out.data.reshape(-1), x.data)
 
 
+def einsum_channel_project(x, w, b, g):
+    """Forward, input and weight gradients in ``np.einsum`` form: the
+    reference for ``channel_project``'s ``np.matmul`` products."""
+    out = np.einsum("oc,bchw->bohw", w, x) + b.reshape(1, -1, 1, 1)
+    return out, np.einsum("oc,bohw->bchw", w, g), np.einsum("bohw,bchw->oc", g, x)
+
+
 class TestChannelProject:
+    @pytest.mark.parametrize("batch, c_in, c_out, side", [
+        # retrieval, one map: encoder layers 3 -> 64 and 64 -> 64, scale head
+        (1, 3, 64, 16), (1, 64, 64, 16), (1, 3, 3, 16),
+        # gradcheck's batch of three: encoder layers 3 -> 4 and 4 -> 4, scale head
+        (3, 3, 4, 8), (3, 4, 4, 8), (3, 3, 3, 8),
+    ])
+    def test_matmul_matches_einsum_forms(self, batch, c_in, c_out, side):
+        rng = np.random.default_rng([batch, c_in, c_out])
+        x = rng.normal(size=(batch, c_in, side, side))
+        w = rng.normal(size=(c_out, c_in))
+        b = rng.normal(size=c_out)
+        g = rng.normal(size=(batch, c_out, side, side))
+        tape = Tape()
+        xt, wt, bt = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+        out = channel_project(xt, wt, bt)
+        tape.backward(sum_all(mul(out, g)))
+        got = (out.data, xt.grad, wt.grad, bt.grad)
+        want = einsum_channel_project(x, w, b, g) + (g.sum(axis=(0, 2, 3)),)
+        # Relative to the sum of the absolute terms behind each entry, so an
+        # entry whose terms cancel to near zero is held to the same bound.
+        size = einsum_channel_project(abs(x), abs(w), abs(b), abs(g)) + \
+            (abs(g).sum(axis=(0, 2, 3)),)
+        for got_i, want_i, size_i in zip(got, want, size):
+            assert np.all(np.abs(got_i - want_i) <= 1e-13 * size_i)
+
     def test_matches_manual_einsum(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(2, 3, 4, 5))
@@ -659,6 +698,9 @@ class TestFloatPolicy:
         ("mul", lambda: mul(Tensor([1e200]), Tensor([1e200]))),
         ("conv2d", lambda: conv2d(Tensor(np.full((1, 1, 3, 3), HUGE)),
                                   Kernel2D(np.full((1, 3, 3), 2.0)))),
+        ("channel_project", lambda: channel_project(Tensor(np.full((1, 2, 1, 1), 1e200)),
+                                                    Tensor(np.full((1, 2), 1e200)),
+                                                    Tensor([0.0]))),
         ("adaptive_avg_pool", lambda: adaptive_avg_pool(Tensor(np.full((1, 1, 2, 2), HUGE)),
                                                         1, 1)),
         ("sum_all", lambda: sum_all(Tensor([HUGE, HUGE]))),
@@ -678,10 +720,3 @@ class TestFloatPolicy:
                                        "divide": "raise", "under": before["under"]}
                 sum_all(Tensor([HUGE, HUGE]))
         assert np.geterr() == before
-
-    @pytest.mark.parametrize("policy", [float_policy, lambda: np.errstate(all="ignore")])
-    def test_channel_project_checks_its_einsum(self, policy):
-        x = Tensor(np.full((1, 2, 1, 1), 1e200))
-        with policy():
-            with pytest.raises(ValueError, match="tensor data must be finite"):
-                channel_project(x, Tensor(np.full((1, 2), 1e200)), Tensor([0.0]))

@@ -413,6 +413,12 @@ class TestUsageErrors:
         ("edge-band 0", "edge band must be >= 1, got 0"),
         ("noise -1", "noise sigma must be >= 0, got -1.0"),
         ("raster 3 64", "raster too small: (3, 64)"),
+        # Past what NumPy can size ("array is too big") or index ("Maximum
+        # allowed dimension exceeded"); checked without allocating.
+        ("raster 100000000000 100000000000",
+         "raster too large: (100000000000, 100000000000) is past NumPy's array size limit"),
+        ("raster 10000000000000000000 8",
+         "raster too large: (10000000000000000000, 8) is past NumPy's array size limit"),
     ])
     def test_single_field_spec_rule_names_its_line(self, tmp_path, capsys, directive,
                                                    message):

@@ -127,6 +127,17 @@ class TestPreprocessing:
         diff = with_plane - without
         assert np.ptp(diff) < 1e-9  # differs only by a constant
 
+    @pytest.mark.parametrize("shape", [(3, 5), (17, 64), (64, 64)])
+    def test_detrend_matches_least_squares_plane(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * w)
+        cols, rows = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+        values = 40.0 + 0.3 * cols - 0.8 * rows + rng.normal(0.0, 3.0, shape)
+        basis = np.column_stack([cols.ravel(), rows.ravel(), np.ones(h * w)])
+        coef, *_ = np.linalg.lstsq(basis, values.ravel(), rcond=None)
+        want = values - coef[0] * cols - coef[1] * rows
+        assert np.max(np.abs(detrend_depth(DepthMap(values)).values - want)) < 1e-9
+
 
 class TestEmbed:
     def test_unit_norm_for_every_arm(self):

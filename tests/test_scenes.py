@@ -14,6 +14,8 @@ from geoalign.scenes import (
     LabelMap,
     NotEvaluableError,
     SceneSpec,
+    _add_noise,
+    _base_scene,
     _dilate,
     class_mask_means,
     facade_heavy_spec,
@@ -302,6 +304,78 @@ class TestRenderOblique:
         d2, l2 = render_oblique(spec)
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(l1.labels, l2.labels)
+
+
+def per_column_render_oblique(spec):
+    """``render_oblique`` with one write per facade column: the reference for
+    its one write per strip."""
+    sx, sy = spec.oblique_slope
+    depth, labels = _base_scene(spec)
+    h, w = spec.raster
+    for box in spec.boxes:
+        width = facade_width(box.height, spec.oblique_slope)
+        roof = spec.ground_depth - box.height
+        step = box.height / (width + 1)
+        for slope, d_view, l_view, lo, length, across in (
+                (sx, depth, labels, box.x, box.w, slice(box.y, box.y + box.h)),
+                (sy, depth.T, labels.T, box.y, box.h, slice(box.x, box.x + box.w))):
+            if slope == 0.0:
+                continue
+            for d in range(1, width + 1):
+                col = lo + length - 1 + d if slope > 0 else lo - d
+                if not 0 <= col < d_view.shape[1]:
+                    continue
+                writable = l_view[across, col] != Label.ROOF
+                d_view[across, col] = np.where(writable, roof + step * d,
+                                               d_view[across, col])
+                l_view[across, col] = np.where(writable, Label.FACADE,
+                                               l_view[across, col])
+    boundary = np.zeros((h, w), dtype=bool)
+    boundary[:, 1:] |= labels[:, 1:] != labels[:, :-1]
+    boundary[:, :-1] |= labels[:, 1:] != labels[:, :-1]
+    boundary[1:, :] |= labels[1:, :] != labels[:-1, :]
+    boundary[:-1, :] |= labels[1:, :] != labels[:-1, :]
+    labels[_dilate(boundary, spec.edge_band - 1)] = Label.EDGE
+    border = np.zeros((h, w), dtype=bool)
+    eb = spec.edge_band
+    border[:eb, :] = border[-eb:, :] = True
+    border[:, :eb] = border[:, -eb:] = True
+    labels[border & (labels == Label.FACADE)] = Label.EDGE
+    cols, rows = np.meshgrid(np.arange(w, dtype=np.float64),
+                             np.arange(h, dtype=np.float64))
+    return _add_noise(depth + sx * cols + sy * rows, spec), labels
+
+
+# Strips cut whole at the left (A), top and right (C) borders, and in part at
+# the left and bottom (D), top (B) and right (F) ones. A's and B's strips
+# overlap in the three columns between them, as do C's and F's rows.
+BORDER_BOXES = (Box(0, 2, 6, 10, 30.0), Box(9, 2, 6, 10, 30.0), Box(30, 0, 10, 8, 25.0),
+                Box(4, 24, 10, 5, 30.0), Box(16, 16, 4, 4, 20.0), Box(28, 14, 8, 10, 28.0))
+
+
+class TestStripWrites:
+    """``render_oblique`` writes each facade strip at once, bit for bit as one
+    column at a time."""
+
+    @staticmethod
+    def assert_renders_equal(spec):
+        depth, labels = render_oblique(spec)
+        want_depth, want_labels = per_column_render_oblique(spec)
+        assert np.array_equal(depth.values.view(np.int64), want_depth.view(np.int64))
+        assert np.array_equal(labels.labels, want_labels)
+
+    def test_facade_heavy_scenes(self):
+        for seed in range(200):
+            self.assert_renders_equal(facade_heavy_spec(seed))
+
+    @pytest.mark.parametrize("slope", [(sx, sy) for sx in (-0.05, 0.0, 0.05)
+                                       for sy in (-0.05, 0.0, 0.05) if (sx, sy) != (0.0, 0.0)])
+    def test_strips_cut_at_borders_and_overlapping(self, slope):
+        spec = SceneSpec(40.0, BORDER_BOXES, oblique_slope=slope, raster=(32, 40),
+                         noise_sigma=0.02, rng_seed=5)
+        _, labels = render_oblique(spec)
+        assert count(labels, Label.FACADE) > 0
+        self.assert_renders_equal(spec)
 
 
 class TestDilate:

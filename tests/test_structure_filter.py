@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoalign.autodiff import Tape, Tensor, mul, sum_all
+from geoalign.autodiff import Kernel2D, Tape, Tensor, conv2d, mul, sum_all
 from geoalign.scenes import facade_heavy_spec, render_oblique
 from geoalign.structure_filter import (
     SOBEL_X,
@@ -104,6 +104,18 @@ class TestMacroGradient:
     def test_rejects_rasters_smaller_than_stencil(self):
         with pytest.raises(ValueError, match="stencil"):
             macro_gradient(DepthMap(np.zeros((4, 4))), 2)
+
+    @pytest.mark.parametrize("side", [16, 128])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_matches_one_conv_per_stencil_bit_for_bit(self, side, dilation):
+        rng = np.random.default_rng(side + dilation)
+        depth = ramp(0.3, -0.7, side, side).values + rng.normal(0.0, 2.0, (side, side))
+        t = Tensor(depth[None, None])
+        scale = 1.0 / (8.0 * dilation)
+        want = [conv2d(t, Kernel2D(stencil[None] * scale, dilation=dilation)).data[0, 0]
+                for stencil in (SOBEL_X, SOBEL_Y)]
+        for got_i, want_i in zip(macro_gradient(DepthMap(depth), dilation), want):
+            assert np.array_equal(got_i.view(np.int64), want_i.view(np.int64))
 
     def test_sobel_pair_is_transpose_symmetric(self):
         assert np.array_equal(SOBEL_Y, SOBEL_X.T)
