@@ -26,7 +26,6 @@ included. The package's entry points (``run_gradient_checks``, ``run_experiment`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,25 +71,21 @@ class Tensor:
         return f"Tensor(shape={self.shape}{grad})"
 
 
-@dataclass
-class _Node:
-    """One executed differentiable op: output, inputs, and the pullback."""
-
-    output: Tensor
-    inputs: tuple[Tensor, ...]
-    pullback: Callable[[Array], Sequence[Array | None]]
+Pullback = Callable[[Array], Sequence[Array]]
 
 
 class Tape:
     """Ordered record of differentiable operations.
 
-    ``backward`` walks the record in exact reverse execution order and
-    accumulates gradients into every ``requires_grad`` tensor reachable from
-    the loss. Calling it again overwrites previously populated gradients.
+    Each record is an ``(output, inputs, pullback)`` triple. ``backward`` walks
+    the record in exact reverse execution order and accumulates gradients into
+    every taped tensor reachable from the loss, writing each one's ``.grad`` as
+    it goes; a constant (untaped) input receives none. Calling it again
+    overwrites the gradients it reaches.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Pullback]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -103,21 +98,17 @@ class Tape:
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        tensors: dict[int, Tensor] = {id(loss): loss}
-        for node in reversed(self._nodes):
-            g_out = grads.get(id(node.output))
+        if loss.tape is not None:
+            loss.grad = grads[id(loss)]
+        for output, inputs, pullback in reversed(self._nodes):
+            g_out = grads.get(id(output))
             if g_out is None:
                 continue
-            for tensor, g in zip(node.inputs, node.pullback(g_out)):
-                if g is None:
+            for tensor, g in zip(inputs, pullback(g_out)):
+                if tensor.tape is None:
                     continue
-                key = id(tensor)
-                tensors[key] = tensor
-                held = grads.get(key)
-                grads[key] = g if held is None else held + g
-        for key, tensor in tensors.items():
-            if tensor.requires_grad:
-                tensor.grad = grads[key]
+                held = grads.get(id(tensor))
+                tensor.grad = grads[id(tensor)] = g if held is None else held + g
 
 
 def _as_tensor(value) -> Tensor:
@@ -133,14 +124,14 @@ def _axis(t: Tensor, axis: int) -> int:
 
 
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
-          pullback: Callable[[Array], Sequence[Array | None]]) -> Tensor:
-    """Build the output tensor and record the node when an input has a tape."""
+          pullback: Pullback) -> Tensor:
+    """Build the output tensor and record the op when an input has a tape."""
     tape = next((t.tape for t in inputs if t.tape is not None), None)
     # An op output skips ``Tensor.__init__``'s finiteness pass (module docstring).
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out.tape = np.asarray(out_data, dtype=np.float64), None, tape
     if tape is not None:
-        tape._nodes.append(_Node(out, inputs, pullback))
+        tape._nodes.append((out, inputs, pullback))
     return out
 
 

@@ -198,6 +198,31 @@ def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     return gradients
 
 
+def _probe(scenario: _Scenario, group: str, idx: int, step: float,
+           eps: float) -> dict[str, float]:
+    """The three losses with coordinate ``idx`` of ``group`` shifted by
+    ``step`` (``+eps`` or ``-eps``); raises, naming the step size, when the
+    shift is lost to rounding or overflows the forward pass."""
+    base = scenario.params[group]
+    arr = base.copy()
+    arr.flat[idx] += step
+    if arr.flat[idx] == base.flat[idx]:
+        # Below the coordinate's float spacing: the finite difference would
+        # read 0 whatever the gradient.
+        raise ValueError(f"step size {eps} is too small for the {group} probes "
+                         f"(a shifted coordinate is unchanged)")
+    # A step that overflows the forward pass surfaces as a degenerate value,
+    # or as an invalid operation on an overflowed (non-finite) tensor.
+    try:
+        with np.errstate(over="ignore"):
+            values, _ = _losses({**scenario.params, group: arr}, scenario)
+    except (ValueError, FloatingPointError) as exc:
+        reason = exc if isinstance(exc, ValueError) else NOT_FINITE
+        raise ValueError(f"step size {eps} is too large for the {group} probes "
+                         f"({reason})") from None
+    return {name: float(values[name].data) for name in LOSS_NAMES}
+
+
 def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
                         eps: float = 1e-5) -> list[GradientCheck]:
     """Compare analytic and central-difference gradients over seeded scenes.
@@ -211,7 +236,7 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
     if not 0.0 < eps < np.inf:
         raise ValueError(f"step size must be positive and finite, got {eps}")
     worst = {(g, l): 0.0 for g in PARAM_GROUPS for l in LOSS_NAMES}
-    evals = {(g, l): 0 for g in PARAM_GROUPS for l in LOSS_NAMES}
+    n_evals = dict.fromkeys(PARAM_GROUPS, 0)  # a group's three losses share it
     with float_policy():
         seed_rng = np.random.default_rng(base_seed)
         scenario_seeds = seed_rng.integers(0, 2**31 - 1, size=4 * n_seeds)
@@ -226,47 +251,23 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
             analytic = _analytic_gradients(scenario)
             coord_rng = np.random.default_rng(int(raw_seed) + 1)
             for group in PARAM_GROUPS:
-                base = scenario.params[group]
-                n_coords = min(3, base.size)
-                coords = coord_rng.choice(base.size, size=n_coords, replace=False)
-                for idx in coords:
-                    probes = {}
-                    for sign in (+1.0, -1.0):
-                        shifted = dict(scenario.params)
-                        arr = base.copy()
-                        arr.flat[int(idx)] += sign * eps
-                        if arr.flat[int(idx)] == base.flat[int(idx)]:
-                            # Below the coordinate's float spacing: the finite
-                            # difference would read 0 whatever the gradient.
-                            raise ValueError(f"step size {eps} is too small for the "
-                                             f"{group} probes (a shifted coordinate "
-                                             f"is unchanged)")
-                        shifted[group] = arr
-                        # A step that overflows the forward pass surfaces as a
-                        # degenerate value, or as an invalid operation on an
-                        # overflowed (non-finite) tensor: name the step.
-                        try:
-                            with np.errstate(over="ignore"):
-                                values, _ = _losses(shifted, scenario)
-                        except (ValueError, FloatingPointError) as exc:
-                            reason = exc if isinstance(exc, ValueError) else NOT_FINITE
-                            raise ValueError(f"step size {eps} is too large for the "
-                                             f"{group} probes ({reason})") from None
-                        probes[sign] = {name: float(values[name].data)
-                                        for name in LOSS_NAMES}
+                size = scenario.params[group].size
+                for idx in coord_rng.choice(size, size=min(3, size), replace=False):
+                    idx = int(idx)
+                    plus = _probe(scenario, group, idx, eps, eps)
+                    minus = _probe(scenario, group, idx, -eps, eps)
+                    n_evals[group] += 1
                     for loss_name in LOSS_NAMES:
-                        fd = (probes[1.0][loss_name] - probes[-1.0][loss_name]) / (2.0 * eps)
-                        ga = float(analytic[loss_name][group].flat[int(idx)])
+                        fd = (plus[loss_name] - minus[loss_name]) / (2.0 * eps)
+                        ga = float(analytic[loss_name][group].flat[idx])
                         rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
-                        key = (group, loss_name)
-                        worst[key] = max(worst[key], rel)
-                        evals[key] += 1
+                        worst[group, loss_name] = max(worst[group, loss_name], rel)
     if built < n_seeds:
         raise RuntimeError(
             f"only {built} of {n_seeds} scenarios produced a usable partition"
         )
     return [
-        GradientCheck(group, loss, worst[(group, loss)], evals[(group, loss)])
+        GradientCheck(group, loss, worst[group, loss], n_evals[group])
         for group in PARAM_GROUPS
         for loss in LOSS_NAMES
     ]

@@ -4,8 +4,9 @@ Every command is deterministic given its flags — all randomness is seeded —
 and every file write is atomic (temp file then rename), so re-running a
 command with identical arguments reproduces its outputs byte for byte.
 
-Exit codes: 0 on success; 1 for usage, file-format or validation errors;
-2 when a check fails (gradient error above tolerance, mask not evaluable).
+Exit codes: 0 on success; 1 for usage, file-format or validation errors and
+for inputs too large for the available memory; 2 when a check fails
+(gradient error above tolerance, mask not evaluable).
 Commands run under the floating-point policy (``autodiff.float_policy``), so
 an overflow ends in an ``error:`` line, never in a NumPy warning.
 """
@@ -76,13 +77,16 @@ def cmd_synth(args) -> int:
         raw = handle.read()
     spec = parse_scene_spec(raw.decode("utf-8"))
     render = render_oblique if args.view == "oblique" else render_ortho
-    depth, labels = render(spec)
-    os.makedirs(args.out_dir, exist_ok=True)
     depth_path = os.path.join(args.out_dir, f"{args.view}.depth.geod")
     label_path = os.path.join(args.out_dir, f"{args.view}.labels.geol")
     spec_path = os.path.join(args.out_dir, "scene.spec")
-    write_f64_raster(depth_path, depth.values)
-    write_u8_raster(label_path, labels.labels)
+    try:  # rendering and encoding both hold whole rasters
+        depth, labels = render(spec)
+        os.makedirs(args.out_dir, exist_ok=True)
+        write_f64_raster(depth_path, depth.values)
+        write_u8_raster(label_path, labels.labels)
+    except MemoryError as exc:
+        raise MemoryError(f"raster {spec.raster}: out of memory ({exc})") from None
     atomic_write_bytes(spec_path, raw)
     print(f"wrote {depth_path}")
     print(f"wrote {label_path}")
@@ -171,7 +175,10 @@ def cmd_bench(args) -> int:
     if args.scenes < 2:
         raise ValueError(f"need at least 2 scenes, got {args.scenes}")
     arms = ARMS if args.ablation == "all" else (args.ablation,)
-    reports = run_experiment(n_scenes=args.scenes, seed=args.seed, arms=arms)
+    try:
+        reports = run_experiment(n_scenes=args.scenes, seed=args.seed, arms=arms)
+    except MemoryError as exc:
+        raise MemoryError(f"--scenes {args.scenes}: out of memory ({exc})") from None
     lines = ["arm,n_queries,recall_at_1,recall_at_5,mean_ap"]
     for arm in arms:
         report = reports[arm]
@@ -282,7 +289,7 @@ def main(argv=None) -> int:
     except NotEvaluableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

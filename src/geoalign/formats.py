@@ -15,7 +15,8 @@ error is at most 1/510) because any image viewer can open them.
 Scene specs are line-oriented text: ``ground`` is required, ``slope``,
 ``raster``, ``noise``, ``seed`` and ``edge-band`` are optional singletons,
 and each ``box x y w h height`` line adds one box. ``#`` comments and blank
-lines are ignored. Parse errors carry 1-based line numbers.
+lines are ignored. Parse errors carry 1-based line numbers, except where a rule
+compares fields (box bounds and overlap, the slope's tilt on the raster).
 
 All writes go through a temp-file-then-rename so readers never observe a
 partial file.
@@ -229,4 +230,7 @@ def parse_scene_spec(text: str) -> SceneSpec:
             raise SpecFormatError(str(exc), line_no) from None
     if "ground_depth" not in fields:
         raise SpecFormatError("missing required `ground` line")
-    return SceneSpec(boxes=tuple(boxes), **fields)
+    try:  # each field passed its own rules above; these compare fields
+        return SceneSpec(boxes=tuple(boxes), **fields)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None

@@ -88,10 +88,6 @@ class ToyEncoder:
             b2=rng.normal(0.0, 0.1, channels),
         )
 
-    @property
-    def channels(self) -> int:
-        return self.pw1.shape[0]
-
     def forward(self, x: Tensor) -> Tensor:
         y = conv2d(x, Kernel2D(self.dw1))
         y = sigmoid(channel_project(y, self.pw1, self.b1))

@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour: rendering, masking, scoring, checks."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ box 10 38 16 18 30.0
 """
 
 SIGMA_2_5 = 1.0 / (1.0 + np.exp(-2.5))
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE_CAP = 1536 * 2**20  # bytes; far below what the inputs below need
 
 
 def write_spec(tmp_path, text, name="scene.spec"):
@@ -276,6 +282,38 @@ class TestBench:
     def test_rejects_single_scene(self, capsys):
         assert main(["bench", "--scenes", "1"]) == 1
         assert "at least 2 scenes" in capsys.readouterr().err
+
+
+def run_capped(args, cwd):
+    """``python -m geoalign *args`` in a child whose address space is capped,
+    so an oversized allocation fails fast instead of taking the machine's memory."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = ADDRESS_SPACE_CAP if hard == resource.RLIM_INFINITY else min(ADDRESS_SPACE_CAP, hard)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "geoalign", *args], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+
+
+class TestOutOfMemory:
+    """An input too large for memory ends in one ``error:`` line naming it."""
+
+    @pytest.mark.parametrize("args, named", [
+        (["synth", "huge.spec", "out"], "error: raster (50000, 50000): out of memory"),
+        (["bench", "--scenes", "2000000000"], "error: --scenes 2000000000: out of memory"),
+    ])
+    def test_memory_error_is_one_error_line(self, tmp_path, args, named):
+        write_spec(tmp_path, "ground 40.0\nraster 50000 50000\n", name="huge.spec")
+        proc = run_capped(args, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(named)
 
 
 class TestUsageErrors:

@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geoalign.formats import (
     DEPTH_MAGIC,
@@ -241,3 +244,102 @@ class TestSceneSpecText:
         round_tripped = parse_scene_spec(serialize_scene_spec(spec))
         assert round_tripped.ground_depth == spec.ground_depth
         assert round_tripped.oblique_slope == spec.oblique_slope
+
+
+FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+RASTER_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+# Header-like prefixes, so the fuzz reaches past the header into the payload.
+HEADERS = st.builds(
+    lambda magic, fields: magic + b" " + b" ".join(fields) + b"\n",
+    st.sampled_from([DEPTH_MAGIC, LABEL_MAGIC, b"", b"GEO"]),
+    st.lists(st.one_of(st.integers(-2, 4).map(lambda n: b"%d" % n),
+                       st.binary(max_size=3)), max_size=5),
+)
+RASTER_BYTES = st.one_of(st.binary(max_size=96),
+                         st.builds(bytes.__add__, HEADERS, st.binary(max_size=64)))
+SPEC_INTS = st.integers(-4, 80).map(str)
+SPEC_FLOATS = st.one_of(SPEC_INTS, st.floats(width=64).map(repr),
+                        st.sampled_from(["1e308", "-1e308", "1e400", "1_0"]))
+# Each directive with its arity and value kinds, so that generated specs get
+# past the per-line rules to the rules that compare fields.
+SPEC_DIRECTIVES = {
+    "ground": [SPEC_FLOATS], "slope": [SPEC_FLOATS] * 2, "raster": [SPEC_INTS] * 2,
+    "noise": [SPEC_FLOATS], "seed": [SPEC_INTS], "edge-band": [SPEC_INTS],
+    "box": [SPEC_INTS] * 4 + [SPEC_FLOATS],
+}
+SPEC_LINES = st.sampled_from(sorted(SPEC_DIRECTIVES)).flatmap(
+    lambda key: st.tuples(*SPEC_DIRECTIVES[key]).map(lambda vs: " ".join([key, *vs])))
+SPEC_TEXTS = st.one_of(
+    st.text(max_size=64),
+    st.lists(st.one_of(SPEC_LINES, st.text(max_size=24)), max_size=8).map("\n".join),
+    # A leading ground line and box lines reach the rules that compare fields.
+    st.builds(lambda lines, boxes: "\n".join(["ground 40", *lines, *boxes]),
+              st.lists(SPEC_LINES, max_size=3),
+              st.lists(st.tuples(*SPEC_DIRECTIVES["box"]).map(
+                  lambda vs: " ".join(["box", *vs])), max_size=3)),
+)
+
+
+def decodes_or_rejects(decode, data):
+    """``decode(data)`` returns or raises ``RasterFormatError``, nothing else."""
+    try:
+        decode(data)
+    except RasterFormatError:
+        pass
+
+
+def assert_truncations_rejected(decode, data):
+    for end in range(len(data)):
+        with pytest.raises(RasterFormatError):
+            decode(data[:end])
+
+
+class TestFormatFuzz:
+    """The format boundary on generated input: valid files round-trip bit for
+    bit, and malformed input ends in the format's own error."""
+
+    @FUZZ
+    @given(values=hnp.arrays(np.float64, RASTER_SHAPES,
+                             elements=st.floats(width=64, allow_nan=True)))
+    def test_f64_round_trip_is_bit_exact_and_truncations_fail(self, values):
+        data = encode_f64_raster(values)
+        decoded = decode_f64_raster(data)
+        assert decoded.shape == values.shape
+        assert decoded.tobytes() == values.tobytes()
+        assert_truncations_rejected(decode_f64_raster, data)
+
+    @FUZZ
+    @given(values=hnp.arrays(np.uint8, RASTER_SHAPES, elements=st.integers(0, 3)))
+    def test_u8_round_trip_is_bit_exact_and_truncations_fail(self, values):
+        data = encode_u8_raster(values)
+        decoded = decode_u8_raster(data)
+        assert decoded.dtype == np.uint8 and decoded.shape == values.shape
+        assert decoded.tobytes() == values.tobytes()
+        assert_truncations_rejected(decode_u8_raster, data)
+
+    @FUZZ
+    @given(data=RASTER_BYTES)
+    def test_arbitrary_bytes_decode_or_raise_format_error(self, data):
+        decodes_or_rejects(decode_f64_raster, data)
+        decodes_or_rejects(decode_u8_raster, data)
+
+    @FUZZ
+    @given(text=SPEC_TEXTS)
+    @example(text="ground 40\nbox 60 60 10 10 5.0\n")  # the box leaves the raster
+    @example(text="ground 40\nbox 4 4 10 10 5.0\nbox 8 8 10 10 5.0\n")  # overlap
+    @example(text="ground 1\nslope 1e308 1e308\n")  # the tilt passes float64
+    def test_arbitrary_text_parses_or_raises_spec_format_error(self, text):
+        try:
+            parse_scene_spec(text)
+        except SpecFormatError:
+            pass
+
+    @pytest.mark.parametrize("text, message", [
+        ("ground 40\nbox 60 60 10 10 5.0\n", "box 0 leaves the 64x64 raster"),
+        ("ground 40\nbox 4 4 10 10 5.0\nbox 8 8 10 10 5.0\n", "boxes 0 and 1 overlap"),
+        ("ground 1\nslope 1e308 1e308\n", "tilts the ground plane past the float64"),
+    ])
+    def test_cross_field_rules_have_no_line_number(self, text, message):
+        with pytest.raises(SpecFormatError, match=message) as info:
+            parse_scene_spec(text)
+        assert info.value.line is None

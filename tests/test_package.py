@@ -12,7 +12,8 @@ import geoalign
 from geoalign import autodiff, retrieval, scenes
 from geoalign.formats import write_f64_raster, write_u8_raster
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SUBMODULES = ("autodiff", "checks", "cli", "formats", "losses", "retrieval",
               "scale_fusion", "scenes", "structure_filter")
 
@@ -38,6 +39,14 @@ class TestPackageRoot:
 
     def test_scene_factory_is_the_last_run_experiment_default(self):
         assert retrieval.run_experiment.__defaults__[-1] is scenes.facade_heavy_spec
+
+    def test_readme_library_example_runs(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.split()[-1]) >= 0.9
 
 
 class TestModuleEntryPoint:

@@ -56,7 +56,7 @@ def arm_inputs(arm, channels, seed=0):
 def embed_arm(depth, encoder, fusion=None, masked=False):
     """``embed`` for the one arm that uses exactly the given fusion (none for
     ``None``) and mask. An unfused arm passes a fusion that it never reads."""
-    used = FusionParams.smoothing(encoder.channels) if fusion is None else fusion
+    used = FusionParams.smoothing(encoder.pw1.shape[0]) if fusion is None else fusion
     return embed(depth, encoder, [(fusion is not None, masked)], used)[0]
 
 
@@ -71,7 +71,7 @@ def embed_one_arm(depth, encoder, fusion=None, masked=False):
     if masked:
         features = modulate(features, structure_mask(depth, h, w, ARM_FILTER_CONFIG))
     pooled = adaptive_avg_pool(features, 1, 1)
-    return l2_normalize(reshape(pooled, (encoder.channels,)))
+    return l2_normalize(reshape(pooled, (encoder.pw1.shape[0],)))
 
 
 class TestToyEncoder:
@@ -85,8 +85,8 @@ class TestToyEncoder:
 
     def test_channel_counts(self):
         enc = ToyEncoder.seeded(channels=12)
-        assert enc.channels == 12
-        assert ToyEncoder.seeded().channels == EMBEDDING_DIM
+        assert enc.pw1.shape[0] == 12
+        assert ToyEncoder.seeded().pw1.shape[0] == EMBEDDING_DIM
 
     def test_forward_shape_and_range(self):
         enc = ToyEncoder.seeded(seed=0, channels=8)
