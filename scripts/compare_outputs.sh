@@ -7,7 +7,8 @@
 # Each tree is a checkout of this repository; its package is imported from
 # <tree>/src. The commands cover the default outputs of every subcommand:
 # synth (README spec, both views), mask (default flags, one non-default set
-# and --k 1, where the k-means assignment loop never runs), eval, bench and
+# and --k 1, where the k-means assignment loop never runs), eval, bench (all
+# arms, and --ablation mgsf, where `embed` builds only some arms) and
 # gradcheck. Because `gradcheck` prints its errors to
 # three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
@@ -44,6 +45,7 @@ run_commands() {
     python -m geoalign mask out/oblique.depth.geod out/k1 --k 1 > mask_k1.txt
     python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
+    python -m geoalign bench --scenes 20 --seed 3 --ablation mgsf --out bench_mgsf.csv > /dev/null
     python -m geoalign gradcheck --seed 0 > gradcheck.txt
     python - > gradcheck_hex.txt <<'PY'
 from geoalign.checks import run_gradient_checks

@@ -116,8 +116,7 @@ def _as_tensor(value) -> Tensor:
 
 
 def _axis(t: Tensor, axis: int) -> int:
-    """``axis`` of ``t`` made non-negative; raises if it is out of range."""
-    axis = axis if axis >= 0 else axis + t.data.ndim
+    """``axis`` of ``t``; raises if it is out of range."""
     if not 0 <= axis < t.data.ndim:
         raise ValueError(f"axis {axis} out of range for shape {t.shape}")
     return axis

@@ -35,10 +35,6 @@ from .autodiff import (
 TRIPLET_SCALE = 10.0
 
 
-class EmptyPartitionError(ValueError):
-    """Raised when a quantile partition leaves one of the regions empty."""
-
-
 @dataclass(frozen=True)
 class ActivationPartition:
     """Quantile split of mask pixels into stable and unstable regions."""
@@ -109,7 +105,7 @@ def aggregate_activation(activation: Tensor,
             f"partition {partition.stable.shape}"
         )
     if partition.n_stable == 0 or partition.n_unstable == 0:
-        raise EmptyPartitionError(
+        raise ValueError(
             f"empty partition (stable={partition.n_stable}, "
             f"unstable={partition.n_unstable})"
         )
@@ -130,29 +126,21 @@ class ContrastReport:
     v_stable: float
     v_unstable: float
     loss: float
-    evaluable: bool
 
 
 def contrast_loss(features: Tensor, partition: ActivationPartition,
                   margin: float = 0.5) -> tuple[Tensor, ContrastReport]:
     """Contrast region activations under a given partition: activation map,
-    region means, hinge. Raises ``EmptyPartitionError`` on an empty region."""
+    region means, hinge. Raises ``ValueError`` on an empty region."""
     v_stable, v_unstable = aggregate_activation(activation_map(features), partition)
     loss = contrast_hinge(v_stable, v_unstable, margin)
-    return loss, ContrastReport(v_stable.item(), v_unstable.item(), loss.item(),
-                                evaluable=True)
+    return loss, ContrastReport(v_stable.item(), v_unstable.item(), loss.item())
 
 
 def activation_contrast_loss(features: Tensor, mask) -> tuple[Tensor, ContrastReport]:
     """Full pipeline: partition the mask, contrast region activations.
-
-    An empty region contributes zero loss rather than an error, so degenerate
-    masks (e.g. constant) are safe inside a training loop.
-    """
-    try:
-        return contrast_loss(features, partition_by_quantile(mask))
-    except EmptyPartitionError:
-        return Tensor(0.0), ContrastReport(float("nan"), float("nan"), 0.0, evaluable=False)
+    Raises ``ValueError`` on an empty region (e.g. a constant mask)."""
+    return contrast_loss(features, partition_by_quantile(mask))
 
 
 def _check_unit(name: str, v: Tensor) -> None:

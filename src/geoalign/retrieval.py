@@ -211,7 +211,6 @@ def run_experiment(
     n_scenes: int = 50,
     seed: int = 0,
     arms: tuple[str, ...] = ARMS,
-    channels: int = EMBEDDING_DIM,
     spec_fn=facade_heavy_spec,
 ) -> dict[str, RetrievalReport]:
     """Render paired views of seeded scenes and score each arm.
@@ -233,8 +232,8 @@ def run_experiment(
         specs = [spec_fn(s) for s in scene_seeds]
         gallery_depths = [render_ortho(spec)[0] for spec in specs]
         query_depths = [render_oblique(spec)[0] for spec in specs]
-        encoder = ToyEncoder.seeded(seed=seed, channels=channels)
-        fusion = FusionParams.smoothing(channels, seed=seed)
+        encoder = ToyEncoder.seeded(seed=seed)
+        fusion = FusionParams.smoothing(EMBEDDING_DIM, seed=seed)
         gallery_rows, query_rows = (
             [embed(d, encoder, arm_parts, fusion) for d in depths]
             for depths in (gallery_depths, query_depths))

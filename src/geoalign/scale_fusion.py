@@ -80,8 +80,6 @@ class FusionParams:
 def scale_branches(features: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
     """The mid and far views: dilation-2 and dilation-4 smoothings. The near
     view is ``features`` itself."""
-    if features.data.ndim != 4:
-        raise ValueError(f"features must be 4-d, got shape {features.shape}")
     return (conv2d(features, Kernel2D(params.mid_kernel, MID_DILATION)),
             conv2d(features, Kernel2D(params.far_kernel, FAR_DILATION)))
 

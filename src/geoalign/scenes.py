@@ -63,7 +63,7 @@ class Box:
 def check_spec_field(name: str, value) -> None:
     """Raise ``ValueError`` if the ``SceneSpec`` field ``name`` breaks a rule
     of its own. The rules that compare fields (the slope's tilt on the raster,
-    box bounds, box overlap) are checked by ``SceneSpec`` alone."""
+    box bounds, box depth, box overlap) are checked by ``SceneSpec`` alone."""
     if name == "raster" and min(value) < 4:
         raise ValueError(f"raster too small: {value}")
     if name == "raster" and value[0] * value[1] * 8 > np.iinfo(np.intp).max:
@@ -103,6 +103,11 @@ class SceneSpec:
         for i, box in enumerate(self.boxes):
             if box.x < 0 or box.y < 0 or box.x + box.w > w or box.y + box.h > h:
                 raise ValueError(f"box {i} leaves the {w}x{h} raster: {box}")
+            # A conservative bound on every rendered depth, like the tilt rule.
+            if not math.isfinite(abs(self.ground_depth - box.height)
+                                 + abs(sx) * (w - 1) + abs(sy) * (h - 1)):
+                raise ValueError(f"box {i} of height {box.height} puts depth past "
+                                 f"the float64 range on the {w}x{h} raster")
         for i in range(len(self.boxes)):
             for j in range(i + 1, len(self.boxes)):
                 a, b = self.boxes[i], self.boxes[j]
@@ -177,8 +182,8 @@ def facade_width(height: float, slope: tuple[float, float]) -> int:
     if mag == 0.0:
         raise ValueError("facade width is undefined for a zero slope")
     floor = max(mag, FACADE_RAMP_MIN)
-    width = max(1, min(FACADE_WIDTH_MAX,
-                       round(FACADE_WIDTH_COEFF * height / mag)))
+    # The ratio is inf for a tiny tilt or a huge box; ``min`` caps it first.
+    width = max(1, round(min(FACADE_WIDTH_COEFF * height / mag, FACADE_WIDTH_MAX)))
     while width > 1 and height / (width + 1) <= floor:
         width -= 1
     return width

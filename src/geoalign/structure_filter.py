@@ -161,9 +161,6 @@ class GeoMask:
 
 def align_depth(depth: DepthMap, h: int, w: int) -> DepthMap:
     """Average-pool raw depth down to the working resolution (no upsampling)."""
-    src_h, src_w = depth.shape
-    if h > src_h or w > src_w:
-        raise ValueError(f"cannot upsample depth {depth.shape} -> {(h, w)}")
     pooled = adaptive_avg_pool(Tensor(depth.values[None, None]), h, w)
     return DepthMap(pooled.data[0, 0])
 

@@ -302,7 +302,7 @@ class TestSharedChains:
             monkeypatch.setattr(module, "pooled_embeddings", counted(tails, tail))
         for module in (losses_module, checks):
             monkeypatch.setattr(module, "contrast_loss", counted(contrasts, contrast))
-        retrieval.run_experiment(n_scenes=2, channels=8)
+        retrieval.run_experiment(n_scenes=2)
         # One single-map batch pooled to 1x1 per arm, map and view.
         assert tails == [(1, 1)] * (4 * 2 * 2)
         assert contrasts == []

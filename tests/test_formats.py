@@ -338,6 +338,8 @@ class TestFormatFuzz:
         ("ground 40\nbox 60 60 10 10 5.0\n", "box 0 leaves the 64x64 raster"),
         ("ground 40\nbox 4 4 10 10 5.0\nbox 8 8 10 10 5.0\n", "boxes 0 and 1 overlap"),
         ("ground 1\nslope 1e308 1e308\n", "tilts the ground plane past the float64"),
+        ("ground -1e308\nbox 1 1 4 4 1e308\n",
+         "box 0 of height 1e\\+308 puts depth past the float64 range on the 64x64 raster"),
     ])
     def test_cross_field_rules_have_no_line_number(self, text, message):
         with pytest.raises(SpecFormatError, match=message) as info:

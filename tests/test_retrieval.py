@@ -256,18 +256,18 @@ class TestRunExperiment:
         # A ground plane at 1e306 overflows the feature stack's variance.
         before = np.geterr()
         with pytest.raises(FloatingPointError, match="overflow"):
-            run_experiment(n_scenes=2, channels=16, spec_fn=lambda s: dataclasses.replace(
+            run_experiment(n_scenes=2, spec_fn=lambda s: dataclasses.replace(
                 facade_heavy_spec(s), ground_depth=1e306))
         assert np.geterr() == before
 
     def test_same_seed_reproduces_reports_exactly(self):
-        a = run_experiment(n_scenes=4, seed=2, channels=16)
-        b = run_experiment(n_scenes=4, seed=2, channels=16)
+        a = run_experiment(n_scenes=4, seed=2)
+        b = run_experiment(n_scenes=4, seed=2)
         assert a == b
         assert set(a) == set(ARMS)
 
     def test_report_shape_and_rank_bounds(self):
-        reports = run_experiment(n_scenes=4, seed=0, arms=("base",), channels=16)
+        reports = run_experiment(n_scenes=4, seed=0, arms=("base",))
         report = reports["base"]
         assert isinstance(report, RetrievalReport)
         assert report.n_queries == 4
@@ -303,9 +303,9 @@ class TestRunExperiment:
             assert built == []
 
     def test_each_arm_alone_reproduces_the_all_arm_report(self):
-        every = run_experiment(n_scenes=4, seed=2, channels=16)
+        every = run_experiment(n_scenes=4, seed=2)
         for arm in ARMS:
-            assert run_experiment(n_scenes=4, seed=2, channels=16, arms=(arm,))[arm] == every[arm]
+            assert run_experiment(n_scenes=4, seed=2, arms=(arm,))[arm] == every[arm]
 
     @pytest.mark.parametrize("arms", [ARMS, ("base",), ("base", "mgsa"), ("mgsa",),
                                       ("mgsf",), ("full",), ("mgsf", "full")])
@@ -324,7 +324,7 @@ class TestRunExperiment:
         monkeypatch.setattr(retrieval, "structure_mask",
                             counted("mask", retrieval.structure_mask))
         n = 3
-        run_experiment(n_scenes=n, seed=1, arms=arms, channels=8)
+        run_experiment(n_scenes=n, seed=1, arms=arms)
         assert calls["embed"] == 2 * n
         assert calls["forward"] == 2 * n
         assert calls["fuse"] == (2 * n if {"mgsa", "full"} & set(arms) else 0)

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+from geoalign.formats import parse_scene_spec
 from geoalign.scenes import (
     FACADE_RAMP_MIN,
     FACADE_WIDTH_MAX,
@@ -26,6 +29,7 @@ from geoalign.scenes import (
     render_ortho,
 )
 from geoalign.structure_filter import DepthMap, structure_mask
+from test_formats import serialize_scene_spec
 
 
 SLOPE = (0.03, 0.02)
@@ -75,6 +79,12 @@ class TestSpecValidation:
             SceneSpec(10.0, (), oblique_slope=(1e308, 0.0))
         with pytest.raises(ValueError, match="on the 64x4 raster"):
             SceneSpec(1e308, (), oblique_slope=(0.0, -1e308), raster=(4, 64))
+
+    def test_box_past_float64_names_the_box(self):
+        # The tilt alone stays finite (1.5e308); only the second roof adds past it.
+        with pytest.raises(ValueError, match="box 1 of height 1e\\+308 .* on the 8x4 raster"):
+            SceneSpec(0.0, (Box(0, 0, 1, 1, 1.0), Box(2, 2, 1, 1, 1e308)),
+                      oblique_slope=(0.0, 5e307), raster=(4, 8))
 
     def test_label_map_validation(self):
         with pytest.raises(ValueError, match="2-d"):
@@ -172,6 +182,11 @@ class TestFacadeWidth:
         width = facade_width(22.0, (3.0, 4.0))
         assert width == 1
         assert 22.0 / (width + 1) > 5.0
+
+    def test_unbounded_ratio_hits_the_width_cap(self):
+        # height / tilt is inf in float64 for both.
+        assert facade_width(30.0, (5e-324, 0.0)) == FACADE_WIDTH_MAX
+        assert facade_width(1e308, (0.01, 0.0)) == FACADE_WIDTH_MAX
 
     def test_zero_slope_is_undefined(self):
         with pytest.raises(ValueError, match="zero slope"):
@@ -515,3 +530,70 @@ class TestFacadeHeavySpec:
             means.append(float(np.mean(scores)))
         for lo, hi in zip(means[1:], means[:-1]):
             assert lo <= hi + 0.05, means
+
+
+# Finite magnitudes from the float64 extremes and from the ordinary range.
+MAGNITUDES = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300, 1e308]),
+                       st.floats(1e-3, 1e3))
+SIGNED = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+TINY_TILT = SceneSpec(40.0, (Box(1, 1, 4, 4, 30.0),), oblique_slope=(5e-324, 0.0))
+TALL_BOX = SceneSpec(40.0, (Box(1, 1, 4, 4, 1e308),), oblique_slope=(0.01, 0.0))
+
+
+@st.composite
+def valid_specs(draw, single_axis=False):
+    """A ``SceneSpec`` with at most one box per cell of a grid over the raster,
+    so no two boxes overlap."""
+    h, w = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    boxes = []
+    for r in range(rows):
+        for c in range(cols):
+            if not draw(st.booleans()):
+                continue
+            y0, y1 = r * h // rows, (r + 1) * h // rows
+            x0, x1 = c * w // cols, (c + 1) * w // cols
+            y, x = draw(st.integers(y0, y1 - 1)), draw(st.integers(x0, x1 - 1))
+            boxes.append(Box(x, y, draw(st.integers(1, x1 - x)),
+                             draw(st.integers(1, y1 - y)), draw(MAGNITUDES)))
+    slope = (draw(SIGNED), 0.0 if single_axis else draw(SIGNED))
+    try:
+        return SceneSpec(draw(SIGNED), tuple(boxes), slope, (h, w),
+                         noise_sigma=draw(st.one_of(st.just(0.0), MAGNITUDES)),
+                         rng_seed=draw(st.integers(0, 2**32)),
+                         edge_band=draw(st.integers(1, 6)))
+    except ValueError as exc:
+        # The tilt and box rules bound depth; nothing else rejects these.
+        if "past the float64 range" not in str(exc):
+            raise
+        reject()
+
+
+class TestValidSpecProperties:
+    @PROPERTY
+    @given(spec=valid_specs())
+    @example(spec=TINY_TILT)
+    @example(spec=TALL_BOX)
+    def test_renders_finite_depth_and_round_trips(self, spec):
+        assert parse_scene_spec(serialize_scene_spec(spec)) == spec
+        still = replace(spec, noise_sigma=0.0)
+        for render in (render_ortho, render_oblique):
+            depth, labels = render(still)
+            assert np.isfinite(depth.values).all()
+            assert depth.shape == labels.shape == spec.raster
+
+    @PROPERTY
+    @given(spec=valid_specs(single_axis=True))
+    @example(spec=TINY_TILT)
+    @example(spec=TALL_BOX)
+    def test_single_axis_slope_is_the_transpose_of_the_other_axis(self, spec):
+        h, w = spec.raster
+        flipped = SceneSpec(spec.ground_depth,
+                            tuple(Box(b.y, b.x, b.h, b.w, b.height) for b in spec.boxes),
+                            oblique_slope=(0.0, spec.oblique_slope[0]), raster=(w, h),
+                            edge_band=spec.edge_band)
+        dx, lx = render_oblique(replace(spec, noise_sigma=0.0))
+        dy, ly = render_oblique(flipped)
+        assert np.array_equal(dy.values, dx.values.T)
+        assert np.array_equal(ly.labels, lx.labels.T)
