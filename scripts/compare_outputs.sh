@@ -12,7 +12,13 @@
 # gradcheck. Because `gradcheck` prints its errors to
 # three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
-# at one scenario each, so the errors must match bit for bit. Outputs land in
+# at one scenario each, so the errors must match bit for bit. Failing
+# commands (a spec with overlapping boxes, a raster too small, a saturated
+# gate, a stencil past the raster, a depth raster scored as a mask, an --eps
+# too small, one bench scene) write their stdout, stderr and exit code, so a
+# changed error message fails too; out-of-memory cases are left out, as their
+# text depends on the platform. A valid 96x96 spec with a 48x48 grid of 1x1
+# boxes is rendered in both views. Outputs land in
 # WORK_DIR/base and WORK_DIR/head (default: a new temporary directory), which
 # end in `diff -r`.
 set -euo pipefail
@@ -35,6 +41,16 @@ run_commands() {
     cd "$out"
     export PYTHONPATH="$tree/src"
     echo "$(basename "$out"): $(python -c 'import geoalign; print(geoalign.__file__)')"
+    # fail NAME ARGS...: `geoalign ARGS...` must fail; NAME.txt gets its
+    # stdout, then its exit code and stderr.
+    fail() {
+      local name=$1 code=0
+      shift
+      python -m geoalign "$@" > "$name.txt" 2> "$name.stderr" || code=$?
+      [ "$code" -ne 0 ] || { echo "$name: expected a non-zero exit" >&2; exit 1; }
+      { echo "exit $code"; cat "$name.stderr"; } >> "$name.txt"
+      rm "$name.stderr"
+    }
     printf '%s\n' 'ground 40.0' 'slope -0.03 0.025' 'raster 64 64' 'noise 0.02' 'seed 2' \
       'box 6 6 20 20 32.0' 'box 36 10 18 14 25.0' 'box 10 38 16 18 30.0' > city.spec
     python -m geoalign synth city.spec out --view ortho > synth_ortho.txt
@@ -47,6 +63,22 @@ run_commands() {
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
     python -m geoalign bench --scenes 20 --seed 3 --ablation mgsf --out bench_mgsf.csv > /dev/null
     python -m geoalign gradcheck --seed 0 > gradcheck.txt
+    printf '%s\n' 'ground 40.0' 'box 0 0 4 4 5.0' 'box 10 10 4 4 5.0' 'box 11 11 2 2 5.0' \
+      'box 1 1 2 2 5.0' > overlap.spec
+    printf '%s\n' 'ground 40.0' 'raster 2 64' > small.spec
+    fail synth_overlap synth overlap.spec err
+    fail synth_small synth small.spec err
+    fail mask_alpha40 mask out/oblique.depth.geod err/m --alpha 40
+    fail mask_dilation40 mask out/oblique.depth.geod err/m --dilation 40
+    fail eval_depth_as_mask eval out/oblique.depth.geod out/oblique.labels.geol
+    fail gradcheck_eps_tiny gradcheck --eps 1e-300
+    fail bench_one_scene bench --scenes 1
+    python -c 'print("ground 40.0\nslope -0.03 0.025\nraster 96 96")
+for i in range(48):
+    for j in range(48):
+        print(f"box {2 * j} {2 * i} 1 1 {10 + (i + j) % 7}.0")' > grid.spec
+    python -m geoalign synth grid.spec grid --view ortho > synth_grid_ortho.txt
+    python -m geoalign synth grid.spec grid --view oblique > synth_grid_oblique.txt
     python - > gradcheck_hex.txt <<'PY'
 from geoalign.checks import run_gradient_checks
 

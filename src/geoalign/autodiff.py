@@ -54,10 +54,6 @@ class Tensor:
         self.tape = tape
 
     @property
-    def requires_grad(self) -> bool:
-        return self.tape is not None
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -67,7 +63,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        grad = ", grad" if self.requires_grad else ""
+        grad = ", grad" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{grad})"
 
 

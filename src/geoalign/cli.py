@@ -218,18 +218,18 @@ def build_parser() -> _Parser:
     mask.add_argument("depth_file", metavar="depth-file", help="GEOD raster")
     mask.add_argument("out_prefix", metavar="out-prefix",
                       help="writes <prefix>.mask.geod/.mask.pgm/.stats.csv")
-    mask.add_argument("--alpha", type=float, default=5.0,
-                      help="gate gain on normal consistency (default: 5)")
-    mask.add_argument("--beta", type=float, default=-2.5,
-                      help="gate bias (default: -2.5)")
-    mask.add_argument("--dilation", type=int, default=2,
-                      help="gradient stencil dilation (default: 2)")
-    mask.add_argument("--tau-q", type=float, default=0.85,
-                      help="edge quantile on gradient magnitude (default: 0.85)")
-    mask.add_argument("--k", type=int, default=3,
-                      help="clusters for the dominant normal (default: 3)")
-    mask.add_argument("--seed", type=int, default=0,
-                      help="clustering seed (default: 0)")
+    mask.add_argument("--alpha", type=float, default=GateParams.gain,
+                      help="gate gain on normal consistency (default: %(default)s)")
+    mask.add_argument("--beta", type=float, default=GateParams.bias,
+                      help="gate bias (default: %(default)s)")
+    mask.add_argument("--dilation", type=int, default=FilterConfig.gradient_dilation,
+                      help="gradient stencil dilation (default: %(default)s)")
+    mask.add_argument("--tau-q", type=float, default=FilterConfig.edge_quantile,
+                      help="edge quantile on gradient magnitude (default: %(default)s)")
+    mask.add_argument("--k", type=int, default=FilterConfig.clusters,
+                      help="clusters for the dominant normal (default: %(default)s)")
+    mask.add_argument("--seed", type=int, default=FilterConfig.cluster_seed,
+                      help="clustering seed (default: %(default)s)")
     mask.set_defaults(func=cmd_mask)
 
     evaluate = sub.add_parser(

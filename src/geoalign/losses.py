@@ -41,8 +41,6 @@ class ActivationPartition:
 
     stable: Array
     unstable: Array
-    tau_high: float
-    tau_low: float
 
     def __post_init__(self):
         object.__setattr__(self, "stable", np.asarray(self.stable, dtype=bool))
@@ -77,12 +75,7 @@ def partition_by_quantile(mask, q_high: float = 0.7,
     n = flat.size
     tau_high = float(flat[math.ceil(q_high * n) - 1])
     tau_low = float(flat[min(math.floor(q_low * n), n - 1)])
-    return ActivationPartition(
-        stable=values > tau_high,
-        unstable=values < tau_low,
-        tau_high=tau_high,
-        tau_low=tau_low,
-    )
+    return ActivationPartition(stable=values > tau_high, unstable=values < tau_low)
 
 
 def activation_map(features: Tensor) -> Tensor:

@@ -138,7 +138,7 @@ class GeoMask:
     one (H, W) map, or (B, H, W) maps stacked."""
 
     def __init__(self, mask: Tensor, edge_mask: Array):
-        edge_mask = np.asarray(edge_mask, dtype=bool).copy()
+        edge_mask = np.asarray(edge_mask, dtype=bool)
         if mask.data.shape != edge_mask.shape:
             raise ValueError(
                 f"mask shape {mask.shape} does not match edge set {edge_mask.shape}"
@@ -148,7 +148,6 @@ class GeoMask:
         if edge_mask.any() and not np.all(mask.data[edge_mask] == 0.5):
             raise ValueError("edge pixels must carry the neutral value 0.5")
         self.mask = mask
-        self.edge_mask = edge_mask
 
     @property
     def values(self) -> Array:
@@ -281,8 +280,7 @@ def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Arr
             labels = new_labels
             break
         labels = new_labels
-    counts = np.bincount(labels, minlength=k)
-    return centroids, labels, counts
+    return centroids, labels, sizes
 
 
 def dominant_normal(field: NormalField, partition: EdgePartition,

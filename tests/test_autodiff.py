@@ -78,15 +78,13 @@ class TestTensorBasics:
             Tensor([float("inf")])
 
     def test_requires_grad_needs_a_tape(self):
-        assert not Tensor([1.0]).requires_grad
+        assert Tensor([1.0]).tape is None
         tape = Tape()
         leaf = tape.leaf([1.0])
-        assert leaf.requires_grad and leaf.tape is tape
+        assert leaf.tape is tape
         tracked, constant = mul(leaf, 2.0), mul(Tensor([1.0]), 2.0)
-        assert tracked.requires_grad and tracked.tape is tape and len(tape) == 1
-        assert not constant.requires_grad and constant.tape is None
-        with pytest.raises(AttributeError):
-            leaf.requires_grad = False
+        assert tracked.tape is tape and len(tape) == 1
+        assert constant.tape is None
 
     def test_item_demands_single_element(self):
         assert Tensor(3.5).item() == 3.5

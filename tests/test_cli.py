@@ -1,18 +1,34 @@
 """End-to-end command-line behaviour: rendering, masking, scoring, checks."""
 
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geoalign import cli
 from geoalign.cli import main
-from geoalign.formats import read_f64_raster, read_u8_raster, write_f64_raster, write_u8_raster
+from geoalign.formats import (
+    encode_f64_raster,
+    encode_u8_raster,
+    read_f64_raster,
+    read_u8_raster,
+    write_f64_raster,
+    write_u8_raster,
+)
 from geoalign.structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry, align_depth
+from test_formats import RASTER_BYTES, SPEC_TEXTS, serialize_scene_spec
+from test_scenes import valid_specs
 
 GROUND_ONLY = "ground 40.0\nraster 32 32\n"
 THREE_BOXES = """\
@@ -315,6 +331,16 @@ class TestOutOfMemory:
         (line,) = proc.stderr.splitlines()
         assert line.startswith(named)
 
+    def test_box_overlap_check_allocates_no_raster(self, tmp_path):
+        # Boxes in opposite corners: the render, not the overlap check, runs out.
+        write_spec(tmp_path, "ground 40.0\nraster 50000 50000\nbox 0 0 1 1 5.0\n"
+                             "box 49999 49999 1 1 5.0\n", name="huge.spec")
+        proc = run_capped(["synth", "huge.spec", "out"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: raster (50000, 50000): out of memory (")
+
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -468,6 +494,106 @@ class TestUsageErrors:
         assert captured.err == f"error: line 2: {message}\n"
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+# Extreme finite flag values next to ordinary ones. Flags are passed as
+# --flag=value: argparse reads a separate "-1e-3" as an option, not a value.
+FLAG_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.9999999999999999,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(-1e3, 1e3), st.floats(0.0, 1.0, exclude_max=True))
+FLAG_INTS = st.one_of(st.sampled_from([0, 1, 2147483647, 18446744073709551615, -1]),
+                      st.integers(-2, 12))
+MASK_FLAGS = st.fixed_dictionaries({}, optional={
+    name: values for name, values in [
+        ("alpha", FLAG_FLOATS), ("beta", FLAG_FLOATS), ("tau-q", FLAG_FLOATS),
+        ("dilation", FLAG_INTS), ("k", FLAG_INTS), ("seed", FLAG_INTS)]
+}).map(lambda flags: [f"--{name}={value!r}" for name, value in flags.items()])
+EXTREME_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(-1e3, 1e3), st.floats(0.0, 1.0))
+RASTER_SIDES = st.tuples(st.integers(3, 24), st.integers(3, 24))
+
+
+def geod_files(shape, ordinary):
+    """Fuzzed bytes, or a GEOD raster of ``ordinary`` values or of extremes."""
+    return st.one_of(RASTER_BYTES, *[
+        hnp.arrays(np.float64, shape, elements=values).map(encode_f64_raster)
+        for values in (ordinary, EXTREME_VALUES)])
+
+
+SPEC_FILES = st.one_of(st.one_of(SPEC_TEXTS, valid_specs().map(serialize_scene_spec))
+                      .map(str.encode), st.binary(max_size=64))
+CLI_FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def eval_files(draw):
+    """Mask and label files: rasters whose shapes pool together, or fuzzed bytes."""
+    h, w = draw(RASTER_SIDES)
+    factor = draw(st.integers(1, 2))
+    labels = hnp.arrays(np.uint8, (h * factor, w * factor), elements=st.integers(0, 3))
+    return {
+        "mask.geod": draw(geod_files((h, w), st.floats(0.0, 1.0))),
+        "labels.geol": draw(st.one_of(RASTER_BYTES, labels.map(encode_u8_raster))),
+    }
+
+
+def run_in_process(argv, files=None):
+    """``main(argv)`` with warnings as errors, in a fresh directory holding
+    ``files``; an argument ``@name`` names ``name`` in that directory.
+
+    Checks the exit contract: code 0, 1 or 2, no exception but argparse's
+    ``SystemExit(1)``, and a non-zero exit ends stderr with an ``error:``
+    line. Returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error")
+        for name, data in (files or {}).items():
+            Path(tmp, name).write_bytes(data)
+        argv = [str(Path(tmp, a[1:])) if a.startswith("@") else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, reported by argparse
+            assert exc.code == 1
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert re.match(r"(geoalign( \w+)?: )?error: ", err.getvalue().splitlines()[-1])
+    return code
+
+
+class TestCliFuzz:
+    """Every command, on fuzzed files and extreme finite flag values, exits 0,
+    1 or 2 with no traceback and no warning."""
+
+    @CLI_FUZZ
+    @given(spec=SPEC_FILES, view=st.sampled_from(["ortho", "oblique"]))
+    def test_synth(self, spec, view):
+        run_in_process(["synth", "@scene.spec", "@out", f"--view={view}"], {"scene.spec": spec})
+
+    @CLI_FUZZ
+    @given(depth=geod_files(RASTER_SIDES, st.floats(-1e3, 1e3)), flags=MASK_FLAGS)
+    def test_mask(self, depth, flags):
+        run_in_process(["mask", "@depth.geod", "@out", *flags], {"depth.geod": depth})
+
+    @CLI_FUZZ
+    @given(files=eval_files())
+    def test_eval(self, files):
+        run_in_process(["eval", "@mask.geod", "@labels.geol", "--out=@eval.csv"], files)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bench", "--scenes=2", "--seed=18446744073709551615"], 0),
+        (["bench", "--scenes=3", "--seed=2147483647", "--ablation=mgsf"], 0),
+        (["bench", "--scenes=-9223372036854775808"], 1),
+        (["gradcheck", "--eps=5e-324"], 1),
+        (["gradcheck", "--eps=1.7976931348623157e308"], 1),
+        (["gradcheck", "--tol=1e308", "--eps=-1e-5"], 1),
+        # The full battery, once: a tolerance no error meets, at the largest seed.
+        (["gradcheck", "--seed=18446744073709551615", "--tol=5e-324"], 2),
+    ])
+    def test_bench_and_gradcheck_extremes(self, argv, code):
+        assert run_in_process(argv) == code
 
 
 class TestDeterminism:

@@ -28,8 +28,6 @@ class TestPartitionByQuantile:
     def test_ten_distinct_values_select_top_and_bottom_three(self):
         mask = np.arange(0.1, 1.05, 0.1).reshape(2, 5)
         part = partition_by_quantile(mask, q_high=0.7, q_low=0.3)
-        assert part.tau_high == pytest.approx(0.7)
-        assert part.tau_low == pytest.approx(0.4)
         assert sorted(mask[part.stable].tolist()) == pytest.approx([0.8, 0.9, 1.0])
         assert sorted(mask[part.unstable].tolist()) == pytest.approx([0.1, 0.2, 0.3])
 
@@ -75,7 +73,7 @@ class TestPartitionByQuantile:
     def test_partition_regions_must_be_disjoint(self):
         overlap = np.array([[True, False], [False, False]])
         with pytest.raises(ValueError, match="disjoint"):
-            ActivationPartition(overlap, overlap, 0.9, 0.1)
+            ActivationPartition(overlap, overlap)
 
 
 class TestActivationMap:
@@ -98,8 +96,7 @@ class TestActivationMap:
 
 class TestAggregateActivation:
     def partition_for(self, stable, unstable):
-        return ActivationPartition(np.asarray(stable), np.asarray(unstable),
-                                   tau_high=0.9, tau_low=0.1)
+        return ActivationPartition(np.asarray(stable), np.asarray(unstable))
 
     def test_region_means(self):
         act = Tensor(np.array([2.0, 4.0, 1.0, 1.0, 1.0]).reshape(1, 1, 1, 5))

@@ -1,6 +1,7 @@
 """Synthetic box-city scenes: rendering, labeling, pooling, and mask scoring."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,58 @@ class TestSpecValidation:
             LabelMap(np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValueError, match="unknown label"):
             LabelMap(np.full((4, 4), 9, dtype=np.uint8))
+
+
+def first_overlap_message(boxes):
+    """The pairwise overlap rule: the message for the first pair (i, j) in
+    scan order whose footprints share a pixel, or None."""
+    for i, a in enumerate(boxes):
+        for j, b in enumerate(boxes[i + 1:], start=i + 1):
+            if (a.x < b.x + b.w and b.x < a.x + a.w and
+                    a.y < b.y + b.h and b.y < a.y + a.h):
+                return f"boxes {i} and {j} overlap"
+    return None
+
+
+@st.composite
+def boxes_on_raster(draw):
+    """2-12 boxes of up to 4x4 pixels anywhere on a small raster, so some
+    specs overlap in several pairs and some in none."""
+    h, w = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    boxes = []
+    for _ in range(draw(st.integers(2, 12))):
+        x, y = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        boxes.append(Box(x, y, draw(st.integers(1, min(4, w - x))),
+                         draw(st.integers(1, min(4, h - y))), 5.0))
+    return (h, w), tuple(boxes)
+
+
+# Overlaps in pairs (0, 3) and (1, 2); the scan names (0, 3) first.
+TWO_OVERLAPS = ((16, 16), (Box(0, 0, 4, 4, 5.0), Box(10, 10, 4, 4, 5.0),
+                           Box(11, 11, 2, 2, 5.0), Box(1, 1, 2, 2, 5.0)))
+
+
+class TestBoxOverlap:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=boxes_on_raster())
+    @example(case=TWO_OVERLAPS)
+    def test_message_names_the_first_overlapping_pair(self, case):
+        raster, boxes = case
+        expected = first_overlap_message(boxes)
+        if expected is None:
+            assert SceneSpec(10.0, boxes, raster=raster).boxes == boxes
+        else:
+            with pytest.raises(ValueError) as info:
+                SceneSpec(10.0, boxes, raster=raster)
+            assert str(info.value) == expected
+
+    def test_forty_thousand_boxes_validate_quickly(self):
+        # A 200x200 grid of 1x1 boxes: a pair scan makes 8e8 comparisons.
+        lines = [f"box {2 * i} {2 * j} 1 1 5.0" for i in range(200) for j in range(200)]
+        start = time.perf_counter()
+        spec = parse_scene_spec("\n".join(["ground 40", "raster 400 400", *lines]))
+        assert time.perf_counter() - start < 10.0
+        assert len(spec.boxes) == 40_000
 
 
 class TestRenderOrtho:

@@ -503,8 +503,10 @@ class TestModulate:
 
 class TestStructureMaskPipeline:
     def test_level_plane_gives_constant_gate_and_no_edges(self):
-        mask = structure_mask(DepthMap(np.full((32, 32), 40.0)), 16, 16)
-        assert not mask.edge_mask.any()
+        depth = DepthMap(np.full((32, 32), 40.0))
+        mask = structure_mask(depth, 16, 16)
+        edges = MaskGeometry.from_depth(align_depth(depth, 16, 16)).partition.edge_mask
+        assert not edges.any()
         assert np.max(np.abs(mask.values - sigma(2.5))) < 1e-12
 
     def test_tilted_plane_interior_is_fully_consistent(self):
@@ -513,8 +515,9 @@ class TestStructureMaskPipeline:
         # sitting essentially at full consistency.
         depth = ramp(0.05, -0.03, 32, 32)
         mask = structure_mask(depth, 32, 32)
+        edges = MaskGeometry.from_depth(align_depth(depth, 32, 32)).partition.edge_mask
         interior = mask.values[4:-4, 4:-4]
-        flat_vals = interior[~mask.edge_mask[4:-4, 4:-4]]
+        flat_vals = interior[~edges[4:-4, 4:-4]]
         assert flat_vals.size > 0
         assert np.max(flat_vals) - np.min(flat_vals) < 1e-12
         assert np.max(np.abs(flat_vals - sigma(2.5))) < 1e-4
@@ -532,7 +535,9 @@ class TestStructureMaskPipeline:
         a = structure_mask(depth, 16, 16)
         b = structure_mask(depth, 16, 16)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.edge_mask, b.edge_mask)
+        edges = [MaskGeometry.from_depth(align_depth(depth, 16, 16)).partition.edge_mask
+                 for _ in range(2)]
+        assert np.array_equal(edges[0], edges[1])
 
     def test_all_noise_depth_with_quantile_zero_is_all_neutral(self):
         rng = np.random.default_rng(11)
