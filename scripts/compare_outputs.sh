@@ -6,11 +6,11 @@
 #
 # Each tree is a checkout of this repository; its package is imported from
 # <tree>/src. The commands cover the default outputs of every subcommand:
-# synth (README spec, both views), mask (default flags, one non-default set
-# and --k 1, where the k-means assignment loop never runs), eval, bench (all
-# arms, and --ablation mgsf, where `embed` builds only some arms) and
-# gradcheck. Because `gradcheck` prints its errors to
-# three digits only, gradcheck_hex.txt also lists `group loss
+# synth (README spec, both views), mask (default flags, one non-default set,
+# --k 1, where the k-means assignment loop never runs, and --tau-q 0, where
+# every pixel is an edge), eval, bench (all arms, and --ablation mgsf, where
+# `embed` builds only some arms) and gradcheck. Because `gradcheck` prints
+# its errors to three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
 # at one scenario each, so the errors must match bit for bit. Failing
 # commands (a spec with overlapping boxes, a raster too small, a saturated
@@ -18,7 +18,8 @@
 # too small, one bench scene) write their stdout, stderr and exit code, so a
 # changed error message fails too; out-of-memory cases are left out, as their
 # text depends on the platform. A valid 96x96 spec with a 48x48 grid of 1x1
-# boxes is rendered in both views. Outputs land in
+# boxes is rendered in both views, and the same grid plus one box on its last
+# box must fail naming that pair. Outputs land in
 # WORK_DIR/base and WORK_DIR/head (default: a new temporary directory), which
 # end in `diff -r`.
 set -euo pipefail
@@ -59,6 +60,7 @@ run_commands() {
     python -m geoalign mask out/oblique.depth.geod out/flags \
       --k 5 --seed 3 --dilation 1 --tau-q 0.5 > mask_flags.txt
     python -m geoalign mask out/oblique.depth.geod out/k1 --k 1 > mask_k1.txt
+    python -m geoalign mask out/oblique.depth.geod out/tq0 --tau-q 0 > mask_tq0.txt
     python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
     python -m geoalign bench --scenes 20 --seed 3 --ablation mgsf --out bench_mgsf.csv > /dev/null
@@ -79,6 +81,8 @@ for i in range(48):
         print(f"box {2 * j} {2 * i} 1 1 {10 + (i + j) % 7}.0")' > grid.spec
     python -m geoalign synth grid.spec grid --view ortho > synth_grid_ortho.txt
     python -m geoalign synth grid.spec grid --view oblique > synth_grid_oblique.txt
+    { cat grid.spec; echo 'box 94 94 1 1 5.0'; } > overlap_late.spec
+    fail synth_overlap_late synth overlap_late.spec err
     python - > gradcheck_hex.txt <<'PY'
 from geoalign.checks import run_gradient_checks
 

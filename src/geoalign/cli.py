@@ -31,10 +31,11 @@ from .formats import (
     write_u8_raster,
 )
 from .retrieval import ARMS, run_experiment
-from .scenes import LabelMap, NotEvaluableError, class_mask_means, mask_quality, render_oblique, render_ortho
+from .scenes import (LabelMap, NotEvaluableError, SceneSpec, class_mask_means, mask_quality,
+                     render_oblique, render_ortho)
 from .structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry
 
-_EPILOG = """\
+_EPILOG = f"""\
 file formats:
   depth/mask raster:  header "GEOD 1 <H> <W>\\n" then H*W little-endian
                       64-bit floats, row-major
@@ -45,11 +46,11 @@ file formats:
 
 scene spec (line-oriented text, '#' comments allowed):
   ground <depth>          required
-  slope <sx> <sy>         optional, default 0 0
-  raster <H> <W>          optional, default 64 64
-  noise <sigma>           optional, default 0
-  seed <int>              optional, default 0
-  edge-band <width>       optional, default 2
+  slope <sx> <sy>         optional, default {SceneSpec.oblique_slope[0]:g} {SceneSpec.oblique_slope[1]:g}
+  raster <H> <W>          optional, default {SceneSpec.raster[0]:g} {SceneSpec.raster[1]:g}
+  noise <sigma>           optional, default {SceneSpec.noise_sigma:g}
+  seed <int>              optional, default {SceneSpec.rng_seed:g}
+  edge-band <width>       optional, default {SceneSpec.edge_band:g}
   box <x> <y> <w> <h> <height>   one line per box
 """
 

@@ -68,11 +68,17 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _encode_header(magic: bytes, h: int, w: int) -> bytes:
-    return b"%s %d %d %d\n" % (magic, FORMAT_VERSION, h, w)
+def _encode_header(magic: bytes, arr: Array) -> bytes:
+    """The header line of the raster ``arr``, which must be 2-d."""
+    if arr.ndim != 2:
+        raise ValueError(f"raster must be 2-d, got shape {arr.shape}")
+    return b"%s %d %d %d\n" % (magic, FORMAT_VERSION, *arr.shape)
 
 
-def _split_raster(data: bytes, magic: bytes) -> tuple[int, int, bytes]:
+def _split_raster(data: bytes, magic: bytes, itemsize: int,
+                  unit: str) -> tuple[int, int, bytes]:
+    """``(H, W, payload)`` of a raster file whose payload holds H*W items of
+    ``itemsize`` bytes each (``unit`` names them in the length error)."""
     newline = data.find(b"\n", 0, _MAX_HEADER)
     if newline < 0:
         raise RasterFormatError("missing header line")
@@ -90,43 +96,33 @@ def _split_raster(data: bytes, magic: bytes) -> tuple[int, int, bytes]:
         raise RasterFormatError(f"unsupported version {version}")
     if h < 1 or w < 1:
         raise RasterFormatError(f"invalid dimensions {h} x {w}")
-    return h, w, data[newline + 1:]
+    payload = data[newline + 1:]
+    if len(payload) != h * w * itemsize:
+        raise RasterFormatError(f"payload holds {len(payload)} bytes but {h} x {w} "
+                                f"{unit} need {h * w * itemsize}")
+    return h, w, payload
 
 
 def encode_f64_raster(values: Array) -> bytes:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"raster must be 2-d, got shape {arr.shape}")
-    h, w = arr.shape
-    return _encode_header(DEPTH_MAGIC, h, w) + arr.astype("<f8").tobytes()
+    return _encode_header(DEPTH_MAGIC, arr) + arr.astype("<f8").tobytes()
 
 
 def decode_f64_raster(data: bytes) -> Array:
-    h, w, payload = _split_raster(data, DEPTH_MAGIC)
-    expected = h * w * 8
-    if len(payload) != expected:
-        raise RasterFormatError(
-            f"payload holds {len(payload)} bytes but {h} x {w} doubles need {expected}"
-        )
+    h, w, payload = _split_raster(data, DEPTH_MAGIC, 8, "doubles")
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(h, w)
 
 
 def encode_u8_raster(values: Array) -> bytes:
     arr = np.asarray(values)
-    if arr.ndim != 2:
-        raise ValueError(f"raster must be 2-d, got shape {arr.shape}")
+    header = _encode_header(LABEL_MAGIC, arr)
     if arr.min(initial=0) < 0 or arr.max(initial=0) > max(Label):
         raise ValueError("label values must be in 0..3")
-    h, w = arr.shape
-    return _encode_header(LABEL_MAGIC, h, w) + arr.astype(np.uint8).tobytes()
+    return header + arr.astype(np.uint8).tobytes()
 
 
 def decode_u8_raster(data: bytes) -> Array:
-    h, w, payload = _split_raster(data, LABEL_MAGIC)
-    if len(payload) != h * w:
-        raise RasterFormatError(
-            f"payload holds {len(payload)} bytes but {h} x {w} labels need {h * w}"
-        )
+    h, w, payload = _split_raster(data, LABEL_MAGIC, 1, "labels")
     arr = np.frombuffer(payload, dtype=np.uint8).copy().reshape(h, w)
     if arr.max(initial=0) > max(Label):
         raise RasterFormatError("label payload contains values outside 0..3")

@@ -76,17 +76,22 @@ def check_spec_field(name: str, value) -> None:
         raise ValueError(f"seed must be >= 0, got {value}")
 
 
-def _boxes_overlap(boxes: tuple[Box, ...]) -> bool:
-    """Whether two boxes share a cell of the grid cut at their edges (no larger than the raster)."""
+def _first_overlap(boxes: tuple[Box, ...]) -> tuple[int, int] | None:
+    """The first pair ``(i, j)`` in pair-scan order whose footprints overlap, or None.
+    Boxes are laid last to first on the grid cut at their edges (no larger than the
+    raster); each cell keeps the lowest index laid on it, so the cells under box ``i``
+    name the first later box it overlaps, and the last hit is the scan's first pair."""
     col = {x: i for i, x in enumerate(sorted({x for b in boxes for x in (b.x, b.x + b.w)}))}
     row = {y: i for i, y in enumerate(sorted({y for b in boxes for y in (b.y, b.y + b.h)}))}
-    covered = np.zeros((len(row), len(col)), dtype=bool)
-    for b in boxes:
-        cells = covered[row[b.y]:row[b.y + b.h], col[b.x]:col[b.x + b.w]]
-        if cells.any():
-            return True
-        cells[...] = True
-    return False
+    n = len(boxes)
+    lowest = np.full((len(row), len(col)), n, dtype=np.min_scalar_type(n))
+    pair = None
+    for i, b in reversed(list(enumerate(boxes))):
+        cells = lowest[row[b.y]:row[b.y + b.h], col[b.x]:col[b.x + b.w]]
+        if (j := int(cells.min())) < n:
+            pair = (i, j)
+        cells[...] = i
+    return pair
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,8 @@ class SceneSpec:
                                  + abs(sx) * (w - 1) + abs(sy) * (h - 1)):
                 raise ValueError(f"box {i} of height {box.height} puts depth past "
                                  f"the float64 range on the {w}x{h} raster")
-        if len(self.boxes) > 1 and _boxes_overlap(self.boxes):
-            for i in range(len(self.boxes)):  # name the first overlapping pair
-                for j in range(i + 1, len(self.boxes)):
-                    a, b = self.boxes[i], self.boxes[j]
-                    if (a.x < b.x + b.w and b.x < a.x + a.w and
-                            a.y < b.y + b.h and b.y < a.y + a.h):
-                        raise ValueError(f"boxes {i} and {j} overlap")
+        if len(self.boxes) > 1 and (pair := _first_overlap(self.boxes)):
+            raise ValueError("boxes %d and %d overlap" % pair)
 
 
 @dataclass(frozen=True)
@@ -255,18 +255,18 @@ def render_oblique(spec: SceneSpec) -> tuple[DepthMap, LabelMap]:
             writable = l_view[across, cols] != Label.ROOF
             d_view[across, cols] = np.where(writable, roof + step * d, d_view[across, cols])
             l_view[across, cols] = np.where(writable, Label.FACADE, l_view[across, cols])
+    across = labels[:, 1:] != labels[:, :-1]
+    down = labels[1:, :] != labels[:-1, :]
     boundary = np.zeros((h, w), dtype=bool)
-    boundary[:, 1:] |= labels[:, 1:] != labels[:, :-1]
-    boundary[:, :-1] |= labels[:, 1:] != labels[:, :-1]
-    boundary[1:, :] |= labels[1:, :] != labels[:-1, :]
-    boundary[:-1, :] |= labels[1:, :] != labels[:-1, :]
-    band = _dilate(boundary, spec.edge_band - 1)
-    labels[band] = Label.EDGE
-    border = np.zeros((h, w), dtype=bool)
+    boundary[:, 1:] |= across
+    boundary[:, :-1] |= across
+    boundary[1:, :] |= down
+    boundary[:-1, :] |= down
+    labels[_dilate(boundary, spec.edge_band - 1)] = Label.EDGE
     eb = spec.edge_band
-    border[:eb, :] = border[-eb:, :] = True
-    border[:, :eb] = border[:, -eb:] = True
-    labels[border & (labels == Label.FACADE)] = Label.EDGE
+    border_facade = labels == Label.FACADE
+    border_facade[eb:h - eb, eb:w - eb] = False
+    labels[border_facade] = Label.EDGE
     depth = (depth + sx * np.arange(w, dtype=np.float64)
              + sy * np.arange(h, dtype=np.float64)[:, None])
     return DepthMap(_add_noise(depth, spec)), LabelMap(labels)

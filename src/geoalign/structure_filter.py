@@ -203,9 +203,8 @@ def partition_edges(gx: Array, gy: Array, cfg: FilterConfig = FilterConfig()) ->
     every pixel ambiguous.
     """
     magnitude = np.hypot(gx, gy)
-    if cfg.edge_quantile == 0.0:
-        return EdgePartition(np.ones_like(magnitude, dtype=bool), float("-inf"))
-    tau = float(np.quantile(magnitude, cfg.edge_quantile, method="lower"))
+    tau = (float(np.quantile(magnitude, cfg.edge_quantile, method="lower"))
+           if cfg.edge_quantile else float("-inf"))
     return EdgePartition(magnitude > tau, tau)
 
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from geoalign import cli
 from geoalign.cli import main
 from geoalign.formats import (
+    _DIRECTIVES,
     encode_f64_raster,
     encode_u8_raster,
     read_f64_raster,
@@ -26,6 +28,7 @@ from geoalign.formats import (
     write_f64_raster,
     write_u8_raster,
 )
+from geoalign.scenes import SceneSpec
 from geoalign.structure_filter import DepthMap, FilterConfig, GateParams, MaskGeometry, align_depth
 from test_formats import RASTER_BYTES, SPEC_TEXTS, serialize_scene_spec
 from test_scenes import valid_specs
@@ -357,6 +360,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["synth", "x", "y", "--view", "aerial"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]])
+    def test_help_shows_each_scene_spec_default(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        help_lines = capsys.readouterr().out.splitlines()
+        defaults = {f.name: f.default for f in fields(SceneSpec) if f.default is not MISSING}
+        for key, (field, _, _) in _DIRECTIVES.items():
+            if field in defaults:
+                shown = " ".join(f"{v:g}" for v in np.atleast_1d(defaults[field]))
+                (line,) = [ln for ln in help_lines if ln.startswith(f"  {key} ")]
+                assert line.endswith(f"optional, default {shown}")
 
     @pytest.mark.parametrize("argv, message", [
         (["mask", "--alpha", "nan"], "--alpha must be finite, got nan"),

@@ -145,6 +145,17 @@ class TestBoxOverlap:
         assert time.perf_counter() - start < 10.0
         assert len(spec.boxes) == 40_000
 
+    def test_late_overlap_among_forty_thousand_boxes_is_named_quickly(self):
+        # The same grid plus a box on its last one: the only overlapping pair
+        # comes last in scan order.
+        lines = [f"box {2 * i} {2 * j} 1 1 5.0" for i in range(200) for j in range(200)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            parse_scene_spec("\n".join(["ground 40", "raster 400 400", *lines,
+                                        "box 398 398 1 1 5.0"]))
+        assert time.perf_counter() - start < 10.0
+        assert str(info.value) == "boxes 39999 and 40000 overlap"
+
 
 class TestRenderOrtho:
     def test_empty_scene_is_constant_ground(self):
