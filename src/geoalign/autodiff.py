@@ -62,10 +62,6 @@ class Tensor:
             raise ValueError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        grad = ", grad" if self.tape is not None else ""
-        return f"Tensor(shape={self.shape}{grad})"
-
 
 Pullback = Callable[[Array], Sequence[Array]]
 
@@ -109,13 +105,6 @@ class Tape:
 
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _axis(t: Tensor, axis: int) -> int:
-    """``axis`` of ``t``; raises if it is out of range."""
-    if not 0 <= axis < t.data.ndim:
-        raise ValueError(f"axis {axis} out of range for shape {t.shape}")
-    return axis
 
 
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
@@ -243,7 +232,6 @@ def masked_mean(t: Tensor, mask) -> Tensor:
 def mean_over_axis(t: Tensor, axis: int) -> Tensor:
     """Mean along one axis, which is kept with length one."""
     t = _as_tensor(t)
-    axis = _axis(t, axis)
     n = t.data.shape[axis]
     shape = t.data.shape
     out = t.data.mean(axis=axis, keepdims=True)
@@ -271,10 +259,7 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 def select_index(t: Tensor, axis: int, index: int) -> Tensor:
     """Take one slice along ``axis`` (the axis is dropped)."""
     t = _as_tensor(t)
-    axis = _axis(t, axis)
     shape = t.data.shape
-    if not 0 <= index < shape[axis]:
-        raise ValueError(f"index {index} out of range for axis {axis} of shape {shape}")
     out = np.take(t.data, index, axis=axis)
 
     def pullback(g):
@@ -305,7 +290,6 @@ def masked_fill(t: Tensor, where, value: float) -> Tensor:
 def softmax_over_axis(t: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along one axis (max is always subtracted)."""
     t = _as_tensor(t)
-    axis = _axis(t, axis)
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -411,8 +395,6 @@ def channel_project(t: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     t, weights, bias = _as_tensor(t), _as_tensor(weights), _as_tensor(bias)
     if t.data.ndim != 4:
         raise ValueError(f"channel_project expects a 4-d tensor, got shape {t.shape}")
-    if weights.data.ndim != 2:
-        raise ValueError(f"projection weights must be 2-d, got shape {weights.shape}")
     c_out, c_in = weights.data.shape
     if t.data.shape[1] != c_in:
         raise ValueError(

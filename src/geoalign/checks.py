@@ -102,7 +102,7 @@ class _Scenario:
     prefix: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _build_scenario(seed: int) -> _Scenario | None:
+def _build_scenario(seed: int) -> _Scenario:
     rng = np.random.default_rng(seed)
     seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
     spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
@@ -128,9 +128,11 @@ def _build_scenario(seed: int) -> _Scenario | None:
         "enc_pw2": encoder.pw2.copy(),
     }
     baseline_gate = GateParams(float(params["gate_gain"]), float(params["gate_bias"]))
+    # Neither region is empty: each takes 19 of the 64 pixels less the ties at
+    # its threshold, and the one systematic tie, the edge value 0.5, is held by
+    # at most 10 pixels. So each keeps 10 or more unless 10 non-edge gate values
+    # tie bit for bit (tests/test_checks.py checks 200 scenarios).
     contrast_partition = partition_by_quantile(geometry.mask(baseline_gate).values[0])
-    if contrast_partition.n_stable == 0 or contrast_partition.n_unstable == 0:
-        return None
     scenario = _Scenario(encoder, stack, geometry, contrast_partition, params, margin=0.5)
     # Stable regions out-activate unstable ones at the default margin, which
     # would park the contrast hinge at zero and reduce its gradient check to
@@ -239,15 +241,8 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
     n_evals = dict.fromkeys(PARAM_GROUPS, 0)  # a group's three losses share it
     with float_policy():
         seed_rng = np.random.default_rng(base_seed)
-        scenario_seeds = seed_rng.integers(0, 2**31 - 1, size=4 * n_seeds)
-        built = 0
-        for raw_seed in scenario_seeds:
-            if built == n_seeds:
-                break
+        for raw_seed in seed_rng.integers(0, 2**31 - 1, size=n_seeds):
             scenario = _build_scenario(int(raw_seed))
-            if scenario is None:
-                continue
-            built += 1
             analytic = _analytic_gradients(scenario)
             coord_rng = np.random.default_rng(int(raw_seed) + 1)
             for group in PARAM_GROUPS:
@@ -262,10 +257,6 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
                         ga = float(analytic[loss_name][group].flat[idx])
                         rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
                         worst[group, loss_name] = max(worst[group, loss_name], rel)
-    if built < n_seeds:
-        raise RuntimeError(
-            f"only {built} of {n_seeds} scenarios produced a usable partition"
-        )
     return [
         GradientCheck(group, loss, worst[group, loss], n_evals[group])
         for group in PARAM_GROUPS

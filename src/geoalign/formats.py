@@ -53,15 +53,18 @@ class SpecFormatError(ValueError):
 
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # Name the destination only: the temp file's random name would differ run to run.
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -45,8 +45,6 @@ class ActivationPartition:
     def __post_init__(self):
         object.__setattr__(self, "stable", np.asarray(self.stable, dtype=bool))
         object.__setattr__(self, "unstable", np.asarray(self.unstable, dtype=bool))
-        if self.stable.shape != self.unstable.shape:
-            raise ValueError("partition masks must share a shape")
         if np.any(self.stable & self.unstable):
             raise ValueError("stable and unstable regions must be disjoint")
 

@@ -91,8 +91,6 @@ def scale_weights(depth_features: Tensor, params: FusionParams) -> Tensor:
     The features are mean-centered per channel before the projection, so a
     constant depth offset cannot change the prediction.
     """
-    if depth_features.data.ndim != 4:
-        raise ValueError(f"depth features must be 4-d, got {depth_features.shape}")
     b, _, h, w = depth_features.data.shape
     spatial_mean = mean_over_axis(mean_over_axis(depth_features, 3), 2)
     centered = add(depth_features, mul(spatial_mean, -1.0))

@@ -75,8 +75,6 @@ class NormalField:
 
     def __post_init__(self):
         arr = np.asarray(self.normals, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"normals must be (H, W, 3), got {arr.shape}")
         lengths = np.linalg.norm(arr, axis=2)
         if np.max(np.abs(lengths - 1.0)) > 1e-9:
             raise ValueError("normals must be unit length")
@@ -139,10 +137,6 @@ class GeoMask:
 
     def __init__(self, mask: Tensor, edge_mask: Array):
         edge_mask = np.asarray(edge_mask, dtype=bool)
-        if mask.data.shape != edge_mask.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match edge set {edge_mask.shape}"
-            )
         if np.min(mask.data) <= 0.0 or np.max(mask.data) >= 1.0:
             raise ValueError("mask values must lie strictly inside (0, 1)")
         if edge_mask.any() and not np.all(mask.data[edge_mask] == 0.5):

@@ -489,10 +489,33 @@ class TestUsageErrors:
         assert captured.err == "error: line 2: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_failed_write_names_only_its_destination(self, tmp_path, monkeypatch, capsys):
+        # The rename onto a directory fails; the random temp file is removed.
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path, "ground 40\n", name="s.spec")
+        (tmp_path / "out" / "ortho.depth.geod").mkdir(parents=True)
+        errors = []
+        for _ in range(2):
+            assert main(["synth", "s.spec", "out"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "error: [Errno 21] Is a directory: 'out/ortho.depth.geod'\n")
+        assert ".tmp-" not in errors[0]
+        assert not list(tmp_path.rglob(".tmp-*~"))
+
+    def test_write_into_a_missing_directory_names_its_destination(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_f64_raster("d.geod", np.add.outer(np.arange(8.0), np.arange(8.0)))
+        assert main(["mask", "d.geod", "nodir/m"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/m.mask.geod'\n")
+
     @pytest.mark.parametrize("directive, message", [
         ("edge-band 0", "edge band must be >= 1, got 0"),
         ("noise -1", "noise sigma must be >= 0, got -1.0"),
         ("raster 3 64", "raster too small: (3, 64)"),
+        ("slope 1", "`slope` takes 2 value(s), got 1"),
         # Past what NumPy can size ("array is too big") or index ("Maximum
         # allowed dimension exceeded"); checked without allocating.
         ("raster 100000000000 100000000000",
