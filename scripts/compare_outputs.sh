@@ -12,7 +12,11 @@
 # `embed` builds only some arms) and gradcheck. Because `gradcheck` prints
 # its errors to three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
-# at one scenario each, so the errors must match bit for bit. Failing
+# at one scenario each, so the errors must match bit for bit. bench's CSV
+# shows the pooled forward paths only through ranks, so pooled_hex.txt lists
+# the SHA-256 of depth_feature_stack at 16x16 and 8x8, align_depth at 8x8,
+# the arms' 16x16 structure_mask and embed's four arm embeddings, for scene
+# seeds 0-7 in both views. Failing
 # commands (a spec with overlapping boxes, a raster too small, a saturated
 # gate, a stencil past the raster, a depth raster scored as a mask, an --eps
 # too small, one bench scene) write their stdout, stderr and exit code, so a
@@ -91,6 +95,29 @@ batteries += [(f"seed{s}", run_gradient_checks(base_seed=s, n_seeds=1)) for s in
 for label, rows in batteries:
     for r in rows:
         print(label, r.group, r.loss, r.max_rel_err.hex(), r.n_evals)
+PY
+    python - > pooled_hex.txt <<'PY'
+from hashlib import sha256
+
+from geoalign.retrieval import (ARM_FILTER_CONFIG, ARMS, EMBEDDING_DIM, ToyEncoder,
+                                _arm_parts, embed)
+from geoalign.scale_fusion import FusionParams, depth_feature_stack
+from geoalign.scenes import facade_heavy_spec, render_oblique, render_ortho
+from geoalign.structure_filter import align_depth, structure_mask
+
+encoder = ToyEncoder.seeded(seed=0)
+fusion = FusionParams.smoothing(EMBEDDING_DIM, seed=0)
+for seed in range(8):
+    for view, render in (("ortho", render_ortho), ("oblique", render_oblique)):
+        d = render(facade_heavy_spec(seed))[0]
+        arrays = {"stack16": depth_feature_stack(d, 16, 16),
+                  "stack8": depth_feature_stack(d, 8, 8),
+                  "align8": align_depth(d, 8, 8).values,
+                  "mask16": structure_mask(d, 16, 16, cfg=ARM_FILTER_CONFIG).values}
+        arms = embed(d, encoder, [_arm_parts(arm) for arm in ARMS], fusion)
+        arrays.update((f"embed_{arm}", e.data) for arm, e in zip(ARMS, arms))
+        for name, a in arrays.items():
+            print(seed, view, name, a.shape, sha256(a.tobytes()).hexdigest())
 PY
   )
 }

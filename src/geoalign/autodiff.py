@@ -12,7 +12,8 @@ Conventions that the rest of the package relies on:
 
 * convolution is cross-correlation (no kernel flip),
 * spatial borders are always handled by replicate (clamp-to-edge) padding,
-* adaptive pooling uses floor boundaries ``floor(i*H/out) .. floor((i+1)*H/out)``,
+* adaptive pooling averages whole ``H/out`` blocks; an output size that does
+  not divide its side is refused,
 * softmax always subtracts the running maximum before exponentiation.
 
 Tensor data is finite. Finiteness is checked where data enters: ``Tensor(data)``,
@@ -421,35 +422,26 @@ def channel_project(t: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 def adaptive_avg_pool(t: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Average-pool to an exact output size with floor-boundary bins.
+    """Average-pool to an output size that splits the input into whole blocks.
 
-    Bin ``i`` along a length-``H`` axis covers rows ``floor(i*H/out_h)`` up to
-    (excluding) ``floor((i+1)*H/out_h)``; every input cell lands in exactly one
-    bin, so the global mean is preserved whenever the sizes divide evenly.
+    Output cell ``(i, j)`` is the mean of the ``kh x kw`` block at rows
+    ``i*kh .. (i+1)*kh`` and columns ``j*kw .. (j+1)*kw``, where
+    ``kh = H // out_h`` and ``kw = W // out_w``; every input cell lands in
+    exactly one block, so the global mean is preserved.
     """
     t = _as_tensor(t)
     if t.data.ndim != 4:
         raise ValueError(f"adaptive_avg_pool expects a 4-d tensor, got shape {t.shape}")
     _, _, h, w = t.data.shape
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"output size must be positive, got {(out_h, out_w)}")
-    if out_h > h or out_w > w:
-        raise ValueError(
-            f"adaptive_avg_pool cannot upsample: {(h, w)} -> {(out_h, out_w)}"
-        )
-    row_edges = (np.arange(out_h) * h) // out_h
-    col_edges = (np.arange(out_w) * w) // out_w
-    row_counts = np.diff(np.append(row_edges, h))
-    col_counts = np.diff(np.append(col_edges, w))
-    sums = np.add.reduceat(t.data, row_edges, axis=2)
-    sums = np.add.reduceat(sums, col_edges, axis=3)
-    out = sums / (row_counts[:, None] * col_counts[None, :])
+    if out_h < 1 or out_w < 1 or h % out_h or w % out_w:
+        raise ValueError(f"adaptive_avg_pool needs an output size that splits the input "
+                         f"into whole blocks: {(h, w)} -> {(out_h, out_w)}")
+    kh, kw = h // out_h, w // out_w
+    sums = np.add.reduceat(t.data, np.arange(0, h, kh), axis=2)
+    out = np.add.reduceat(sums, np.arange(0, w, kw), axis=3) / (kh * kw)
 
     def pullback(g):
-        row_map = np.searchsorted(row_edges, np.arange(h), side="right") - 1
-        col_map = np.searchsorted(col_edges, np.arange(w), side="right") - 1
-        denom = row_counts[row_map][:, None] * col_counts[col_map][None, :]
-        return (g[:, :, row_map[:, None], col_map[None, :]] / denom,)
+        return (g[:, :, np.arange(h)[:, None] // kh, np.arange(w)[None, :] // kw] / (kh * kw),)
 
     return _emit((t,), out, pullback)
 

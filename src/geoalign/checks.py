@@ -188,14 +188,9 @@ def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     losses, _ = _losses(leaves, scenario)
     gradients: dict[str, dict[str, Array]] = {}
     for loss_name in LOSS_NAMES:
-        for leaf in leaves.values():
-            leaf.grad = None
+        # Each loss reads every leaf, and backward overwrites each .grad it reaches.
         tape.backward(losses[loss_name])
-        gradients[loss_name] = {
-            name: (np.zeros_like(scenario.params[name])
-                   if leaves[name].grad is None else leaves[name].grad.copy())
-            for name in leaves
-        }
+        gradients[loss_name] = {name: leaf.grad.copy() for name, leaf in leaves.items()}
     tape._nodes.clear()  # its tensors refer back to it; unlinked, refcounting frees the pass
     return gradients
 

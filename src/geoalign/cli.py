@@ -175,6 +175,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_bench(args) -> int:
     if args.scenes < 2:
         raise ValueError(f"need at least 2 scenes, got {args.scenes}")
+    if args.scenes * 8 > sys.maxsize:  # the int64 seed array; sys.maxsize is NumPy's intp max
+        raise ValueError(f"--scenes too large: {args.scenes} is past NumPy's array size limit")
     arms = ARMS if args.ablation == "all" else (args.ablation,)
     try:
         reports = run_experiment(n_scenes=args.scenes, seed=args.seed, arms=arms)

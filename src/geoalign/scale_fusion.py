@@ -124,14 +124,12 @@ DEPTH_CHANNELS = 3
 def depth_feature_stack(depth: DepthMap, h: int, w: int) -> Array:
     """Fixed depth-derived channels at the feature resolution.
 
-    Channel 0 is pooled depth, channel 1 the magnitude of its dilation-2
-    Sobel gradient, channel 2 raw depth subsampled on the pooling grid.
+    Channel 0 is depth averaged over whole blocks (``h`` and ``w`` must
+    divide the raster's sides), channel 1 the magnitude of its dilation-2
+    Sobel gradient, channel 2 raw depth at each block's first cell.
     Shape (1, DEPTH_CHANNELS, h, w).
     """
     pooled = align_depth(depth, h, w)
     gx, gy = macro_gradient(pooled)
-    src_h, src_w = depth.shape
-    rows = (np.arange(h) * src_h) // h
-    cols = (np.arange(w) * src_w) // w
-    strided = depth.values[rows][:, cols]
+    strided = depth.values[::depth.shape[0] // h, ::depth.shape[1] // w]
     return np.stack([pooled.values, np.hypot(gx, gy), strided])[None]

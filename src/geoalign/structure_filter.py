@@ -153,7 +153,7 @@ class GeoMask:
 
 
 def align_depth(depth: DepthMap, h: int, w: int) -> DepthMap:
-    """Average-pool raw depth down to the working resolution (no upsampling)."""
+    """Average raw depth over whole blocks down to the working resolution."""
     pooled = adaptive_avg_pool(Tensor(depth.values[None, None]), h, w)
     return DepthMap(pooled.data[0, 0])
 

@@ -2,6 +2,7 @@
 central finite-difference agreement for every differentiable op."""
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -219,10 +220,10 @@ class TestAdaptivePool:
         out = adaptive_avg_pool(Tensor(x), 4, 5)
         assert np.array_equal(out.data, x)
 
-    def test_uneven_bins_use_floor_boundaries(self):
+    def test_rejects_uneven_blocks(self):
         x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
-        out = adaptive_avg_pool(x, 2, 2)
-        assert np.array_equal(out.data[0, 0], [[1.0, 2.5], [5.5, 7.0]])
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (3, 3) -> (2, 2)")):
+            adaptive_avg_pool(x, 2, 2)
 
     def test_pool_to_single_cell_is_global_mean(self):
         rng = np.random.default_rng(5)
@@ -233,10 +234,14 @@ class TestAdaptivePool:
 
     def test_rejects_upsampling_and_bad_sizes(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
-        with pytest.raises(ValueError, match="upsample"):
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (4, 4) -> (8, 4)")):
             adaptive_avg_pool(x, 8, 4)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (4, 4) -> (0, 4)")):
             adaptive_avg_pool(x, 0, 4)
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (4, 4) -> (4, 0)")):
+            adaptive_avg_pool(x, 4, 0)
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (4, 4) -> (-2, 4)")):
+            adaptive_avg_pool(x, -2, 4)
         with pytest.raises(ValueError, match="4-d"):
             adaptive_avg_pool(Tensor(np.zeros((4, 4))), 2, 2)
 
@@ -519,7 +524,7 @@ class TestFiniteDifferenceAgreement:
 
     def test_adaptive_avg_pool(self):
         for _, rng in self.seeded("pool"):
-            x = rng.normal(size=(1, 2, 6, 5))
+            x = rng.normal(size=(1, 2, 6, 4))
             w = rng.normal(size=(1, 2, 2, 2))
             assert_matches_fd(
                 lambda xt: sum_all(mul(adaptive_avg_pool(xt, 2, 2), Tensor(w))),
@@ -661,7 +666,8 @@ class TestPullbackStateMatchesEagerForm:
     @given(b=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 9),
            w=st.integers(1, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_adaptive_avg_pool(self, b, c, h, w, data, seed):
-        out_h, out_w = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        out_h, out_w = (data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+                        for n in (h, w))
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(b, c, h, w))
         g = rng.normal(size=(b, c, out_h, out_w))

@@ -381,6 +381,11 @@ class TestUsageErrors:
         (["mask", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["bench", "--scenes", "2", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["gradcheck", "--seed", "-3"], "--seed must be non-negative, got -3"),
+        # 2**60 int64 scene seeds are past what NumPy can size (2**63 - 1 bytes).
+        (["bench", "--scenes", "1152921504606846976"],
+         "--scenes too large: 1152921504606846976 is past NumPy's array size limit"),
+        (["bench", "--scenes", "9223372036854775808"],
+         "--scenes too large: 9223372036854775808 is past NumPy's array size limit"),
         # Finite gate flags whose gain * c + bias overflows, or whose sigmoid
         # rounds to exactly 1.0 on the ramp's fully consistent pixels.
         (["mask", "--alpha", "1e308", "--beta", "1e308"],

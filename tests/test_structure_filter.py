@@ -3,6 +3,7 @@ clustering, gating, and feature modulation."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestDepthMapAndAlign:
         assert np.array_equal(pooled.values, np.full((4, 4), 0.5))
 
     def test_align_rejects_upsampling(self):
-        with pytest.raises(ValueError, match="upsample"):
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (4, 4) -> (8, 8)")):
             align_depth(DepthMap(np.zeros((4, 4))), 8, 8)
 
 
@@ -554,6 +555,11 @@ class TestStructureMaskPipeline:
         with pytest.raises(FloatingPointError, match="overflow"):
             structure_mask(ramp(5e306, 5e306), 16, 16)
         assert np.geterr() == before
+
+    def test_grid_that_does_not_divide_the_raster_raises(self):
+        depth = DepthMap(np.full((64, 64), 40.0))
+        with pytest.raises(ValueError, match=re.escape("whole blocks: (64, 64) -> (10, 10)")):
+            structure_mask(depth, 10, 10)
 
 
 class TestFilterFeatures:
