@@ -381,11 +381,6 @@ class TestUsageErrors:
         (["mask", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["bench", "--scenes", "2", "--seed", "-1"], "--seed must be non-negative, got -1"),
         (["gradcheck", "--seed", "-3"], "--seed must be non-negative, got -3"),
-        # 2**60 int64 scene seeds are past what NumPy can size (2**63 - 1 bytes).
-        (["bench", "--scenes", "1152921504606846976"],
-         "--scenes too large: 1152921504606846976 is past NumPy's array size limit"),
-        (["bench", "--scenes", "9223372036854775808"],
-         "--scenes too large: 9223372036854775808 is past NumPy's array size limit"),
         # Finite gate flags whose gain * c + bias overflows, or whose sigmoid
         # rounds to exactly 1.0 on the ramp's fully consistent pixels.
         (["mask", "--alpha", "1e308", "--beta", "1e308"],
@@ -412,6 +407,11 @@ class TestUsageErrors:
         (["gradcheck", "--eps", "1e-320"],
          "--eps: step size 1e-320 is too small for the mid_kernel probes "
          "(a shifted coordinate is unchanged)"),
+        # 2**60 int64 scene seeds are past what NumPy can size (2**63 - 1 bytes).
+        (["bench", "--scenes", "1152921504606846976"],
+         "--scenes too large: 1152921504606846976 is past NumPy's array size limit"),
+        (["bench", "--scenes", "9223372036854775808"],
+         "--scenes too large: 9223372036854775808 is past NumPy's array size limit"),
     ])
     def test_unusable_flag_value_is_named(self, tmp_path, capsys, argv, message):
         if argv[0] == "mask":
