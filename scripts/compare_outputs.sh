@@ -16,12 +16,13 @@
 # shows the pooled forward paths only through ranks, so pooled_hex.txt lists
 # the SHA-256 of depth_feature_stack at 16x16 and 8x8, align_depth at 8x8,
 # the arms' 16x16 structure_mask and embed's four arm embeddings, for scene
-# seeds 0-7 in both views. Failing
-# commands (a spec with overlapping boxes, a raster too small, a saturated
-# gate, a stencil past the raster, a depth raster scored as a mask, an --eps
-# too small, one bench scene) write their stdout, stderr and exit code, so a
-# changed error message fails too; out-of-memory cases are left out, as their
-# text depends on the platform. A valid 96x96 spec with a 48x48 grid of 1x1
+# seeds 0-7 in both views. Failing commands (a spec with overlapping boxes, a
+# raster too small, a saturated gate, a stencil past the raster, a depth
+# raster scored as a mask, an --eps too small, one whose probes leave an
+# embedding off unit length, one whose probes overflow, one bench scene)
+# write their stdout, stderr and exit code, so a changed error message fails
+# too; out-of-memory cases are left out, as their text depends on the
+# platform. A valid 96x96 spec with a 48x48 grid of 1x1
 # boxes is rendered in both views, and the same grid plus one box on its last
 # box must fail naming that pair. Outputs land in
 # WORK_DIR/base and WORK_DIR/head (default: a new temporary directory), which
@@ -78,6 +79,8 @@ run_commands() {
     fail mask_dilation40 mask out/oblique.depth.geod err/m --dilation 40
     fail eval_depth_as_mask eval out/oblique.depth.geod out/oblique.labels.geol
     fail gradcheck_eps_tiny gradcheck --eps 1e-300
+    fail gradcheck_eps_huge gradcheck --eps 1e300
+    fail gradcheck_eps_overflow gradcheck --eps 1e308
     fail bench_one_scene bench --scenes 1
     python -c 'print("ground 40.0\nslope -0.03 0.025\nraster 96 96")
 for i in range(48):

@@ -205,27 +205,34 @@ def log1p_exp(t: Tensor) -> Tensor:
 # reductions
 
 
-def sum_all(t: Tensor) -> Tensor:
+def sum_all(t: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of every entry; given ``axis``, the sums along it, which is dropped.
+    On a C-contiguous input each last-axis sum adds in a 1-d sum's order."""
     t = _as_tensor(t)
     shape = t.data.shape
 
     def pullback(g):
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy(),)
 
-    return _emit((t,), np.asarray(t.data.sum()), pullback)
+    return _emit((t,), np.asarray(t.data.sum(axis=axis)), pullback)
 
 
 def masked_mean(t: Tensor, mask) -> Tensor:
-    """Mean of the entries selected by a boolean mask (broadcast to t's shape)."""
+    """One mean per item ``t[i]``: the mean of the entries that a boolean mask,
+    broadcast to one item's shape, selects."""
     t = _as_tensor(t)
-    sel = np.broadcast_to(np.asarray(mask, dtype=bool), t.data.shape)
+    b = t.data.shape[0]
+    sel = np.broadcast_to(np.asarray(mask, dtype=bool), t.data.shape[1:])
     count = int(sel.sum())
     if count == 0:
         raise ValueError("masked_mean over an empty selection")
-    out = np.asarray(t.data[sel].sum() / count)
+    # A boolean index on the trailing axis returns F-ordered rows, whose row
+    # sums add in another order than the 1-d sum of one item's selection.
+    picked = np.ascontiguousarray(t.data.reshape(b, -1)[:, sel.ravel()])
+    out = picked.sum(axis=1) / count
 
     def pullback(g):
-        return (np.where(sel, g / count, 0.0),)
+        return (np.where(sel, g.reshape((b,) + (1,) * sel.ndim) / count, 0.0),)
 
     return _emit((t,), out, pullback)
 
@@ -450,17 +457,26 @@ def adaptive_avg_pool(t: Tensor, out_h: int, out_w: int) -> Tensor:
 # normalization
 
 
+def row_dot(a: Array, b: Array) -> Array:
+    """Dot products of matching rows (last axis) of ``a`` and ``b``, kept with
+    length one. Each is an ``np.matmul`` of a (1, D) row and a (D, 1) column,
+    the 1-d ``a @ b`` bit for bit; ``einsum`` and ``(a * b).sum(-1)`` add in
+    other orders."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
 def l2_normalize(t: Tensor) -> Tensor:
-    """Scale a vector to unit Euclidean norm."""
+    """Scale a vector, or each row of a matrix, to unit Euclidean norm."""
     t = _as_tensor(t)
-    if t.data.ndim != 1:
-        raise ValueError(f"l2_normalize expects a 1-d tensor, got shape {t.shape}")
-    norm = float(np.sqrt(t.data @ t.data))
-    if norm == 0.0:
+    if t.data.ndim not in (1, 2):
+        raise ValueError(f"l2_normalize expects a vector or a matrix of rows, "
+                         f"got shape {t.shape}")
+    norm = np.sqrt(row_dot(t.data, t.data))
+    if not norm.all():
         raise ValueError("cannot normalize a zero vector")
     y = t.data / norm
 
     def pullback(g):
-        return ((g - y * (y @ g)) / norm,)
+        return ((g - y * row_dot(y, g)) / norm,)
 
     return _emit((t,), y, pullback)

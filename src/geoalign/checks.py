@@ -19,6 +19,7 @@ finite-difference noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -48,7 +49,14 @@ from .scale_fusion import (
     scale_weights,
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import EdgePartition, GateParams, MaskGeometry, align_depth, modulate
+from .structure_filter import (
+    EdgePartition,
+    GateParams,
+    GeoMask,
+    MaskGeometry,
+    align_depth,
+    modulate,
+)
 
 LOSS_NAMES = ("contrast", "triplet", "total")
 PARAM_GROUPS = (
@@ -138,7 +146,7 @@ def _build_scenario(seed: int) -> _Scenario:
     # would park the contrast hinge at zero and reduce its gradient check to
     # 0 == 0. Raise the margin until the hinge is active with 0.5 of slack, so
     # the compared gradients are the real ones.
-    _, report = _losses(params, scenario)
+    _, (report,) = _losses([params], scenario)
     return replace(scenario, margin=max(0.5, report.v_stable - report.v_unstable + 0.5))
 
 
@@ -158,11 +166,9 @@ def _part(scenario: _Scenario, params: dict, name: str, fn, *args):
     return scenario.prefix[name]
 
 
-def _losses(params: dict, scenario: _Scenario) -> tuple[dict[str, Tensor], ContrastReport]:
-    """The three losses of one scenario and the anchor's contrast report, with
-    the chain run once for the batch of three maps. Every forward op works per
-    map, so the losses are the floats a per-map pass gives; only the shared
-    parameters' gradients differ, summed over the batch in one reduction."""
+def _parts(params: dict, scenario: _Scenario) -> tuple[Tensor, ...]:
+    """One parameter set's parts for the batch of three maps: the features,
+    the mid and far branches, the scale weights and the gate values."""
     fusion = FusionParams(params["mid_kernel"], params["far_kernel"],
                           params["head_weights"], params["head_bias"])
     gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
@@ -172,20 +178,47 @@ def _losses(params: dict, scenario: _Scenario) -> tuple[dict[str, Tensor], Contr
     branches = _part(scenario, params, "branches", scale_branches, features, fusion)
     weights = _part(scenario, params, "weights", scale_weights, x, fusion)
     mask = _part(scenario, params, "mask", scenario.geometry.mask, gate)
-    features = modulate(fuse(features, branches, weights), mask)
-    embeddings = pooled_embeddings(features, _POOL)
-    anchor_features = reshape(select_index(features, 0, 0), (1, *features.shape[1:]))
-    contrast, report = contrast_loss(anchor_features, scenario.contrast_partition,
-                                     scenario.margin)
-    triplet = soft_margin_triplet(*embeddings)
+    return (features, *branches, weights, mask.mask)
+
+
+def _concat(parts: tuple[Tensor, ...]) -> Tensor:
+    """The parts' batches, in order, as one; a lone part is itself, so a taped
+    pass of one set records no extra op."""
+    if len(parts) == 1:
+        return parts[0]
+    return Tensor(np.concatenate([part.data for part in parts]))
+
+
+def _losses(param_sets: list[dict],
+            scenario: _Scenario) -> tuple[dict[str, Tensor], list[ContrastReport]]:
+    """The three losses of one scenario under each of P parameter sets, as
+    (P,) tensors, and the anchor's contrast report per set.
+
+    Each set's parts run on their own, and ``_part`` reuses those it leaves
+    unchanged; the rest of the chain runs once for the parts concatenated into
+    a batch of 3P maps. Every forward op works per map and every reduction of
+    the losses per item, so a set's losses are the floats a pass of that set
+    alone, or of each map alone, gives; only the shared parameters' gradients
+    differ from a per-map pass, summed over the batch in one reduction.
+    """
+    p = len(param_sets)
+    features, mid, far, weights, mask = (
+        _concat(column) for column in zip(*(_parts(params, scenario) for params in param_sets)))
+    edges = np.concatenate([scenario.geometry.partition.edge_mask] * p)
+    features = modulate(fuse(features, (mid, far), weights), GeoMask(mask, edges))
+    embeddings = reshape(pooled_embeddings(features, _POOL), (p, 3, -1))
+    anchor_features = select_index(reshape(features, (p, 3, *features.shape[1:])), 1, 0)
+    contrast, reports = contrast_loss(anchor_features, scenario.contrast_partition,
+                                      scenario.margin)
+    triplet = soft_margin_triplet(*(select_index(embeddings, 1, k) for k in range(3)))
     return {"contrast": contrast, "triplet": triplet,
-            "total": total_loss(triplet, contrast)}, report
+            "total": total_loss(triplet, contrast)}, reports
 
 
 def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in scenario.params.items()}
-    losses, _ = _losses(leaves, scenario)
+    losses, _ = _losses([leaves], scenario)
     gradients: dict[str, dict[str, Array]] = {}
     for loss_name in LOSS_NAMES:
         # Each loss reads every leaf, and backward overwrites each .grad it reaches.
@@ -195,29 +228,49 @@ def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     return gradients
 
 
-def _probe(scenario: _Scenario, group: str, idx: int, step: float,
-           eps: float) -> dict[str, float]:
-    """The three losses with coordinate ``idx`` of ``group`` shifted by
-    ``step`` (``+eps`` or ``-eps``); raises, naming the step size, when the
-    shift is lost to rounding or overflows the forward pass."""
+def _probe_losses(scenario: _Scenario, group: str, coords: list[int],
+                  eps: float) -> dict[str, list[float]]:
+    """The three losses at every probe of ``group``, as one batch: for each
+    ``idx`` in ``coords``, coordinate ``idx`` shifted by ``+eps``, then by
+    ``-eps``. Raises, naming the step size, the error that the first failing
+    probe raises on its own: its shift is lost to rounding, or it overflows
+    the forward pass."""
     base = scenario.params[group]
-    arr = base.copy()
-    arr.flat[idx] += step
-    if arr.flat[idx] == base.flat[idx]:
-        # Below the coordinate's float spacing: the finite difference would
-        # read 0 whatever the gradient.
-        raise ValueError(f"step size {eps} is too small for the {group} probes "
-                         f"(a shifted coordinate is unchanged)")
+    probes = []
+    for idx, step in product(coords, (eps, -eps)):
+        arr = base.copy()
+        arr.flat[idx] += step
+        probes.append(arr)
+        if arr.flat[idx] == base.flat[idx]:
+            # Below the coordinate's float spacing: the finite difference
+            # would read 0 whatever the gradient. A probe before it that
+            # overflows fails first; this one runs the unshifted parameters.
+            _run_probes(scenario, group, probes, eps)
+            raise ValueError(f"step size {eps} is too small for the {group} probes "
+                             f"(a shifted coordinate is unchanged)")
+    return _run_probes(scenario, group, probes, eps)
+
+
+def _run_probes(scenario: _Scenario, group: str, probes: list[Array],
+                eps: float) -> dict[str, list[float]]:
+    """The three losses with ``group`` set to each array of ``probes``, in
+    one ``_losses`` batch."""
     # A step that overflows the forward pass surfaces as a degenerate value,
     # or as an invalid operation on an overflowed (non-finite) tensor.
     try:
         with np.errstate(over="ignore"):
-            values, _ = _losses({**scenario.params, group: arr}, scenario)
+            values, _ = _losses([{**scenario.params, group: arr} for arr in probes], scenario)
     except (ValueError, FloatingPointError) as exc:
+        if len(probes) > 1:
+            # The batch stops at its first failing op, which need not be its
+            # first failing probe's: run each probe alone, in order, so that
+            # the first to fail names the error.
+            for arr in probes:
+                _run_probes(scenario, group, [arr], eps)
         reason = exc if isinstance(exc, ValueError) else NOT_FINITE
         raise ValueError(f"step size {eps} is too large for the {group} probes "
                          f"({reason})") from None
-    return {name: float(values[name].data) for name in LOSS_NAMES}
+    return {name: values[name].data.tolist() for name in LOSS_NAMES}
 
 
 def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
@@ -242,13 +295,14 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
             coord_rng = np.random.default_rng(int(raw_seed) + 1)
             for group in PARAM_GROUPS:
                 size = scenario.params[group].size
-                for idx in coord_rng.choice(size, size=min(3, size), replace=False):
-                    idx = int(idx)
-                    plus = _probe(scenario, group, idx, eps, eps)
-                    minus = _probe(scenario, group, idx, -eps, eps)
-                    n_evals[group] += 1
+                coords = [int(i) for i in coord_rng.choice(size, size=min(3, size),
+                                                           replace=False)]
+                values = _probe_losses(scenario, group, coords, eps)
+                n_evals[group] += len(coords)
+                for k, idx in enumerate(coords):
                     for loss_name in LOSS_NAMES:
-                        fd = (plus[loss_name] - minus[loss_name]) / (2.0 * eps)
+                        plus, minus = values[loss_name][2 * k:2 * k + 2]
+                        fd = (plus - minus) / (2.0 * eps)
                         ga = float(analytic[loss_name][group].flat[idx])
                         rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
                         worst[group, loss_name] = max(worst[group, loss_name], rel)

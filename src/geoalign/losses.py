@@ -27,6 +27,7 @@ from .autodiff import (
     mean_over_axis,
     mul,
     relu,
+    row_dot,
     sum_all,
 )
 
@@ -85,10 +86,11 @@ def activation_map(features: Tensor) -> Tensor:
 
 def aggregate_activation(activation: Tensor,
                          partition: ActivationPartition) -> tuple[Tensor, Tensor]:
-    """Mean activation over each region; raises on an empty region."""
-    if activation.data.ndim != 4 or activation.data.shape[:2] != (1, 1):
+    """Mean activation over each region, one per item of a (B, 1, H, W) batch
+    under one partition; raises on an empty region."""
+    if activation.data.ndim != 4 or activation.data.shape[1] != 1:
         raise ValueError(
-            f"activation must be (1, 1, H, W), got shape {activation.shape}"
+            f"activation must be (B, 1, H, W), got shape {activation.shape}"
         )
     if activation.data.shape[2:] != partition.stable.shape:
         raise ValueError(
@@ -120,30 +122,38 @@ class ContrastReport:
 
 
 def contrast_loss(features: Tensor, partition: ActivationPartition,
-                  margin: float = 0.5) -> tuple[Tensor, ContrastReport]:
+                  margin: float = 0.5) -> tuple[Tensor, list[ContrastReport]]:
     """Contrast region activations under a given partition: activation map,
-    region means, hinge. Raises ``ValueError`` on an empty region."""
+    region means, hinge. (B, C, H, W) features give a (B,) loss and one report
+    per item. Raises ``ValueError`` on an empty region."""
     v_stable, v_unstable = aggregate_activation(activation_map(features), partition)
     loss = contrast_hinge(v_stable, v_unstable, margin)
-    return loss, ContrastReport(v_stable.item(), v_unstable.item(), loss.item())
+    return loss, [ContrastReport(*item) for item in
+                  zip(v_stable.data.tolist(), v_unstable.data.tolist(), loss.data.tolist())]
 
 
 def activation_contrast_loss(features: Tensor, mask) -> tuple[Tensor, ContrastReport]:
-    """Full pipeline: partition the mask, contrast region activations.
-    Raises ``ValueError`` on an empty region (e.g. a constant mask)."""
-    return contrast_loss(features, partition_by_quantile(mask))
+    """Full pipeline for one map's (1, C, H, W) features: partition the mask,
+    contrast region activations. Raises ``ValueError`` on an empty region
+    (e.g. a constant mask)."""
+    if features.data.shape[:1] != (1,):
+        raise ValueError(f"features must be one map's (1, C, H, W), got shape {features.shape}")
+    loss, (report,) = contrast_loss(features, partition_by_quantile(mask))
+    return loss, report
 
 
 def _check_unit(name: str, v: Tensor) -> None:
-    if v.data.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d embedding, got shape {v.shape}")
-    norm = float(np.linalg.norm(v.data))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"{name} must be unit length, got norm {norm!r}")
+    if v.data.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a (D,) embedding or (P, D) rows, got shape {v.shape}")
+    norms = np.sqrt(row_dot(v.data, v.data))
+    off = np.abs(norms - 1.0) > 1e-8
+    if off.any():
+        raise ValueError(f"{name} must be unit length, got norm {float(norms[off][0])!r}")
 
 
 def soft_margin_triplet(anchor: Tensor, positive: Tensor, negative: Tensor) -> Tensor:
-    """log(1 + exp(TRIPLET_SCALE * (d_pos - d_neg))) on unit embeddings.
+    """log(1 + exp(TRIPLET_SCALE * (d_pos - d_neg))) on unit embeddings, one
+    loss per row: (D,) embeddings give a scalar, (P, D) rows a (P,) batch.
 
     Distances are squared Euclidean; non-normalized inputs are rejected so the
     distance scale stays comparable across batches.
@@ -154,8 +164,8 @@ def soft_margin_triplet(anchor: Tensor, positive: Tensor, negative: Tensor) -> T
         raise ValueError("embeddings must share a shape")
     diff_pos = add(anchor, mul(positive, -1.0))
     diff_neg = add(anchor, mul(negative, -1.0))
-    d_pos = sum_all(mul(diff_pos, diff_pos))
-    d_neg = sum_all(mul(diff_neg, diff_neg))
+    d_pos = sum_all(mul(diff_pos, diff_pos), axis=-1)
+    d_neg = sum_all(mul(diff_neg, diff_neg), axis=-1)
     gap = add(d_pos, mul(d_neg, -1.0))
     return log1p_exp(mul(gap, TRIPLET_SCALE))
 

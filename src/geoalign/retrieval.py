@@ -123,12 +123,11 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
     return DepthMap(values - slope_x * cols - slope_y * rows[:, None])
 
 
-def pooled_embeddings(features: Tensor, pool: int) -> list[Tensor]:
-    """One unit-norm embedding per item of ``(B, C, H, W)`` features: the item
-    average-pooled to ``pool x pool``, flattened and L2-normalized."""
+def pooled_embeddings(features: Tensor, pool: int) -> Tensor:
+    """Unit-norm embeddings of ``(B, C, H, W)`` features, one row per item:
+    the item average-pooled to ``pool x pool``, flattened and L2-normalized."""
     n, c = features.shape[:2]
-    pooled = reshape(adaptive_avg_pool(features, pool, pool), (n, c * pool * pool))
-    return [l2_normalize(select_index(pooled, 0, i)) for i in range(n)]
+    return l2_normalize(reshape(adaptive_avg_pool(features, pool, pool), (n, c * pool * pool)))
 
 
 def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
@@ -155,7 +154,7 @@ def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, 
     for fused, masked in arm_parts:
         features = fused_features if fused else plain
         features = modulate(features, mask) if masked else features
-        embeddings += pooled_embeddings(features, 1)
+        embeddings.append(select_index(pooled_embeddings(features, 1), 0, 0))
     return embeddings
 
 

@@ -308,12 +308,17 @@ class TestElementwiseAndReductions:
     def test_reductions_hand_values(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert sum_all(x).item() == 10.0
-        assert masked_mean(x, np.array([[True, False], [False, True]])).item() == 2.5
+        assert np.array_equal(sum_all(x, axis=-1).data, [3.0, 7.0])
+        # One mean per item (row); the mask selects within one item.
+        assert np.array_equal(masked_mean(x, np.array([True, True])).data, [1.5, 3.5])
+        assert np.array_equal(masked_mean(x, np.array([False, True])).data, [2.0, 4.0])
+        one_item = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        assert masked_mean(one_item, np.array([[True, False], [False, True]])).item() == 2.5
         assert np.array_equal(mean_over_axis(x, axis=0).data, [[2.0, 3.0]])
 
     def test_masked_mean_rejects_empty_mask(self):
         with pytest.raises(ValueError, match="empty"):
-            masked_mean(Tensor([[1.0]]), np.array([[False]]))
+            masked_mean(Tensor([[1.0]]), np.array([False]))
 
     def test_select_index_drops_axis(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
@@ -394,12 +399,32 @@ class TestL2Normalize:
     def test_unit_norm_and_direction(self):
         out = l2_normalize(Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [0.6, 0.8])
+        rows = l2_normalize(Tensor([[3.0, 4.0], [0.0, -2.0]]))
+        assert np.array_equal(rows.data, [[0.6, 0.8], [0.0, -1.0]])
+
+    def test_rows_equal_the_one_vector_formula_bitwise(self):
+        # The reference is the 1-d form with BLAS dot products; an einsum or
+        # a row sum of products differs from it in about a third of rows.
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(200, 16))
+        g = rng.normal(size=(200, 16))
+        tape = Tape()
+        leaf = tape.leaf(x)
+        out = l2_normalize(leaf)
+        tape.backward(sum_all(mul(out, Tensor(g))))
+        for row, y_row, grad_row, g_row in zip(x, out.data, leaf.grad, g):
+            norm = float(np.sqrt(row @ row))
+            y = row / norm
+            assert y_row.tobytes() == y.tobytes()
+            assert grad_row.tobytes() == ((g_row - y * (y @ g_row)) / norm).tobytes()
 
     def test_rejects_zero_vector_and_matrices(self):
         with pytest.raises(ValueError, match="zero vector"):
             l2_normalize(Tensor([0.0, 0.0]))
-        with pytest.raises(ValueError, match="1-d"):
-            l2_normalize(Tensor(np.ones((2, 2))))
+        with pytest.raises(ValueError, match="zero vector"):
+            l2_normalize(Tensor([[3.0, 4.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="vector or a matrix of rows"):
+            l2_normalize(Tensor(np.ones((2, 2, 2))))
 
 
 class TestFiniteDifferenceAgreement:
@@ -452,11 +477,13 @@ class TestFiniteDifferenceAgreement:
     def test_reductions(self):
         for _, rng in self.seeded("reduce"):
             x = rng.normal(size=(3, 4))
-            mask = rng.random(size=(3, 4)) > 0.4
+            mask = rng.random(size=4) > 0.4  # within one item, a row of x
             if not mask.any():
-                mask[0, 0] = True
+                mask[0] = True
+            w = rng.normal(size=3)
             assert_matches_fd(lambda xt: mul(sum_all(xt), 1.37), [x])
-            assert_matches_fd(lambda xt: masked_mean(xt, mask), [x])
+            assert_matches_fd(lambda xt: sum_all(mul(sum_all(xt, axis=1), Tensor(w))), [x])
+            assert_matches_fd(lambda xt: sum_all(mul(masked_mean(xt, mask), Tensor(w))), [x])
 
     def test_mean_over_axis_and_select_index(self):
         for _, rng in self.seeded("axis"):
@@ -536,6 +563,10 @@ class TestFiniteDifferenceAgreement:
             w = rng.normal(size=(6,))
             assert_matches_fd(
                 lambda xt: sum_all(mul(l2_normalize(xt), Tensor(w))), [x])
+            rows = rng.normal(size=(3, 6)) + np.sign(rng.normal()) * 0.5
+            w = rng.normal(size=(3, 6))
+            assert_matches_fd(
+                lambda xt: sum_all(mul(l2_normalize(xt), Tensor(w))), [rows])
 
 
 def naive_conv2d(x, stencils, dilation):
@@ -709,7 +740,7 @@ class TestFloatPolicy:
                                                         1, 1)),
         ("sum_all", lambda: sum_all(Tensor([HUGE, HUGE]))),
         ("mean_over_axis", lambda: mean_over_axis(Tensor([[HUGE, HUGE]]), 1)),
-        ("masked_mean", lambda: masked_mean(Tensor([HUGE, HUGE]), [True, True])),
+        ("masked_mean", lambda: masked_mean(Tensor([[HUGE, HUGE]]), [True, True])),
     ])
     def test_overflowing_op_raises(self, name, build):
         with float_policy():

@@ -12,6 +12,7 @@ from geoalign.autodiff import (
     Tape,
     Tensor,
     adaptive_avg_pool,
+    float_policy,
     l2_normalize,
     reshape,
 )
@@ -87,6 +88,23 @@ class TestRunGradientChecks:
                                              r"is unchanged\)$"):
             run_gradient_checks(n_seeds=1, eps=eps)
 
+    def test_a_failing_batch_names_its_first_failing_probe(self):
+        scenario = _build_scenario(int(np.random.default_rng(0).integers(0, 2**31 - 1)))
+        base = scenario.params["mid_kernel"]
+        probes = [base.copy() for _ in range(3)]
+        # Alone, the second probe fails at the triplet's unit-length check and
+        # the third one earlier, in l2_normalize's divide, where the batch of
+        # all three stops.
+        probes[1].flat[0] += 1e300
+        probes[2].flat[0] += 1e308
+        prefix = r"^step size 1e\+300 is too large for the mid_kernel probes "
+        with float_policy():
+            with pytest.raises(ValueError, match=prefix + r"\(tensor data must be finite\)$"):
+                checks._run_probes(scenario, "mid_kernel", probes[2:], 1e300)
+            with pytest.raises(ValueError, match=prefix + r"\(anchor must be unit length, "
+                                                          r"got norm 0\.0\)$"):
+                checks._run_probes(scenario, "mid_kernel", probes, 1e300)
+
     def test_every_tape_is_freed_without_the_cycle_collector(self, monkeypatch):
         built = []
         init = autodiff.Tape.__init__
@@ -156,25 +174,28 @@ class TestProbeReuse:
         losses = checks._losses
         calls = []
 
-        def recording(params, scenario):
-            values = losses(params, scenario)
-            calls.append((params, scenario, values))
+        def recording(param_sets, scenario):
+            values = losses(param_sets, scenario)
+            calls.append((param_sets, scenario, values))
             return values
 
         monkeypatch.setattr(checks, "_losses", recording)
         run_gradient_checks(n_seeds=2)
         monkeypatch.undo()
-        probes = [(p, s, v) for p, s, v in calls
-                  if not any(isinstance(a, Tensor) for a in p.values())]
-        # Per scenario: the margin probe and 40 finite-difference probes.
-        assert len(probes) == 2 * 41
-        for params, scenario, (values, report) in probes:
+        batches = [(p, s, v) for p, s, v in calls
+                   if not any(isinstance(a, Tensor) for a in p[0].values())]
+        # Per scenario: the margin pass (one parameter set) and one batch per
+        # parameter group (40 sets in all).
+        assert len(batches) == 2 * 9
+        assert sum(len(p) for p, _, _ in batches) == 2 * 41
+        for param_sets, scenario, (values, reports) in batches:
             # Copies share no array with the scenario, so nothing is reused.
-            fresh, fresh_report = losses({g: a.copy() for g, a in params.items()}, scenario)
+            fresh, fresh_reports = losses(
+                [{g: a.copy() for g, a in params.items()} for params in param_sets], scenario)
             assert set(fresh) == set(values) == set(LOSS_NAMES)
             for name in fresh:
                 assert values[name].data.tobytes() == fresh[name].data.tobytes()
-            assert report == fresh_report
+            assert reports == fresh_reports
 
     def test_one_scenario_computes_each_part_as_often_as_predicted(self, monkeypatch):
         counts = count_parts(monkeypatch)
@@ -234,15 +255,15 @@ def per_geometry_losses(params, scenario, inputs):
 
 
 class TestBatchedPass:
-    """``_losses`` runs the three geometries as one batch."""
+    """``_losses`` runs the three geometries of every parameter set as one batch."""
 
     def test_every_probe_equals_the_per_geometry_pass_bitwise(self, monkeypatch):
         losses = checks._losses
         calls = []
 
-        def recording(params, scenario):
-            values = losses(params, scenario)
-            calls.append((params, scenario, values))
+        def recording(param_sets, scenario):
+            values = losses(param_sets, scenario)
+            calls.append((param_sets, scenario, values))
             return values
 
         monkeypatch.setattr(checks, "_losses", recording)
@@ -251,16 +272,17 @@ class TestBatchedPass:
         seeds = [int(x) for x in np.random.default_rng(3).integers(0, 2**31 - 1, size=2)]
         inputs = {}  # the scenarios' params dicts, in order, mapped to their inputs
         probes = 0
-        for params, scenario, (values, _) in calls:
+        for param_sets, scenario, (values, _) in calls:
             key = id(scenario.params)
             if key not in inputs:
                 inputs[key] = per_geometry_inputs(seeds[len(inputs)])
-            if any(isinstance(a, Tensor) for a in params.values()):
+            if any(isinstance(a, Tensor) for a in param_sets[0].values()):
                 continue
-            expected = per_geometry_losses(params, scenario, inputs[key])
-            for name in LOSS_NAMES:
-                assert float(values[name].data).hex() == float(expected[name].data).hex()
-            probes += 1
+            for k, params in enumerate(param_sets):
+                expected = per_geometry_losses(params, scenario, inputs[key])
+                for name in LOSS_NAMES:
+                    assert values[name].data[k].hex() == expected[name].item().hex()
+                probes += 1
         assert len(inputs) == 2
         assert probes == 2 * 41
 
@@ -310,12 +332,14 @@ class TestSharedChains:
         assert contrasts == []
         del tails[:]
         run_gradient_checks(n_seeds=1)
-        # The margin probe, the taped pass and 40 finite-difference probes:
-        # the batch of three maps pooled to 2x2, and the anchor's contrast.
-        assert tails == [(3, 2)] * 42
-        # The anchor alone, on the scenario's frozen partition; the margin
-        # probe runs at 0.5 and every later call at the raised margin.
-        assert [n for n, _, _ in contrasts] == [1] * 42
+        # The margin pass and the taped pass pool one batch of three maps to
+        # 2x2; then each group's probes run as one batch of three maps per
+        # probe: 6 probes per group, 2 for the one-coordinate gate groups.
+        probes = [6, 6, 6, 6, 2, 2, 6, 6]
+        assert tails == [(3, 2)] * 2 + [(3 * p, 2) for p in probes]
+        # The anchors alone, on the scenario's frozen partition; the margin
+        # pass runs at 0.5 and every later call at the raised margin.
+        assert [n for n, _, _ in contrasts] == [1, 1] + probes
         assert len({id(partition) for _, partition, _ in contrasts}) == 1
         margins = [margin for _, _, margin in contrasts]
         assert margins[0] == 0.5 and len(set(margins[1:])) == 1

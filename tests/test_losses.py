@@ -116,7 +116,7 @@ class TestAggregateActivation:
     def test_shape_checks(self):
         part = self.partition_for(np.ones((2, 2), dtype=bool),
                                   np.zeros((2, 2), dtype=bool))
-        with pytest.raises(ValueError, match=r"\(1, 1, H, W\)"):
+        with pytest.raises(ValueError, match=r"\(B, 1, H, W\)"):
             aggregate_activation(Tensor(np.ones((1, 2, 2, 2))), part)
         with pytest.raises(ValueError, match="does not match"):
             aggregate_activation(Tensor(np.ones((1, 1, 3, 3))), part)
@@ -148,6 +148,11 @@ class TestActivationContrastLoss:
         assert report.v_unstable == pytest.approx(v_u, abs=1e-12)
         assert report.loss == loss.item()
 
+    def test_rejects_a_batch_of_maps(self):
+        mask = np.linspace(0.05, 0.95, 16).reshape(4, 4)
+        with pytest.raises(ValueError, match=r"one map's \(1, C, H, W\), got shape \(2, 3, 4, 4\)"):
+            activation_contrast_loss(Tensor(np.ones((2, 3, 4, 4))), mask)
+
     def test_constant_mask_is_safely_zero_and_not_evaluable(self):
         rng = np.random.default_rng(2)
         features = Tensor(rng.normal(size=(1, 3, 4, 4)))
@@ -173,8 +178,11 @@ class TestActivationContrastLoss:
         values = rng.normal(size=(1, 3, 6, 6))
         mask = rng.uniform(0.05, 0.95, size=(6, 6))
         results = []
-        for loss_fn in (lambda f: activation_contrast_loss(f, mask),
-                        lambda f: contrast_loss(f, partition_by_quantile(mask))):
+        def contrast_one(f):
+            loss, (report,) = contrast_loss(f, partition_by_quantile(mask))
+            return loss, report
+
+        for loss_fn in (lambda f: activation_contrast_loss(f, mask), contrast_one):
             tape = Tape()
             features = tape.leaf(values)
             loss, report = loss_fn(features)
@@ -189,8 +197,8 @@ class TestContrastLoss:
         rng = np.random.default_rng(5)
         features = Tensor(rng.normal(size=(1, 2, 4, 4)))
         part = partition_by_quantile(rng.permutation(np.linspace(0.05, 0.95, 16)).reshape(4, 4))
-        _, report = contrast_loss(features, part, margin=0.0)
-        loss, wide = contrast_loss(features, part, margin=10.0)
+        _, (report,) = contrast_loss(features, part, margin=0.0)
+        loss, (wide,) = contrast_loss(features, part, margin=10.0)
         assert (wide.v_stable, wide.v_unstable) == (report.v_stable, report.v_unstable)
         assert loss.item() == wide.loss == 10.0 + wide.v_unstable - wide.v_stable
 
@@ -198,6 +206,19 @@ class TestContrastLoss:
         part = partition_by_quantile(np.full((4, 4), 0.5))
         with pytest.raises(ValueError, match="empty partition"):
             contrast_loss(Tensor(np.ones((1, 2, 4, 4))), part)
+
+    def test_batch_equals_one_item_calls_bitwise(self):
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(40, 4, 8, 8))
+        part = partition_by_quantile(rng.uniform(0.05, 0.95, size=(8, 8)))
+        loss, reports = contrast_loss(Tensor(values), part, margin=1.0)
+        assert loss.shape == (40,) and len(reports) == 40
+        assert {r.loss > 0.0 for r in reports} == {True}
+        for i, item in enumerate(values):
+            one, (report,) = contrast_loss(Tensor(item[None]), part, margin=1.0)
+            assert one.shape == (1,)
+            assert loss.data[i:i + 1].tobytes() == one.data.tobytes()
+            assert reports[i] == report
 
 
 class TestSoftMarginTriplet:
@@ -229,10 +250,32 @@ class TestSoftMarginTriplet:
 
     def test_rejects_bad_shapes(self):
         anchor = unit([1.0, 0.0])
-        with pytest.raises(ValueError, match="1-d"):
+        with pytest.raises(ValueError, match=r"positive must be a \(D,\) embedding or \(P, D\) rows"):
+            soft_margin_triplet(anchor, Tensor(np.ones((1, 1, 2))), anchor)
+        with pytest.raises(ValueError, match="share a shape"):
             soft_margin_triplet(anchor, Tensor(np.eye(2)), anchor)
         with pytest.raises(ValueError, match="share a shape"):
             soft_margin_triplet(anchor, unit([0.0, 1.0]), unit([0.0, 0.0, 1.0]))
+
+    def test_rows_equal_one_item_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        rows = [l2_normalize(Tensor(rng.normal(size=(40, 16)))) for _ in range(3)]
+        loss = soft_margin_triplet(*rows)
+        assert loss.shape == (40,)
+        for i in range(40):
+            a, p, n = (r.data[i] for r in rows)
+            one = soft_margin_triplet(Tensor(a), Tensor(p), Tensor(n))
+            assert loss.data[i].tobytes() == one.data.tobytes()
+            # The same ops in plain numpy, with 1-d sums.
+            d_pos = ((a + p * -1.0) * (a + p * -1.0)).sum()
+            d_neg = ((a + n * -1.0) * (a + n * -1.0)).sum()
+            want = np.logaddexp(0.0, (d_pos + d_neg * -1.0) * TRIPLET_SCALE)
+            assert loss.data[i].tobytes() == want.tobytes()
+
+    def test_names_the_first_row_off_unit_length(self):
+        rows = Tensor([[1.0, 0.0], [0.0, 0.5], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^negative must be unit length, got norm 0\.5$"):
+            soft_margin_triplet(Tensor(np.eye(2)[[0, 1, 0]]), Tensor(np.eye(2)[[1, 0, 1]]), rows)
 
     def test_gradient_pulls_anchor_toward_positive(self):
         tape = Tape()
