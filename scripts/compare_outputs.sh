@@ -12,7 +12,10 @@
 # `embed` builds only some arms) and gradcheck. Because `gradcheck` prints
 # its errors to three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
-# at one scenario each, so the errors must match bit for bit. bench's CSV
+# at one scenario each, so the errors must match bit for bit, and
+# gradcheck_eps.txt lists, for 33 step sizes from 1e-330 to 3.7e306 (the
+# k-th at base seed k % 5, two scenarios), every error's hex or the error
+# text, so the order in which bad steps are blamed must match too. bench's CSV
 # shows the pooled forward paths only through ranks, so pooled_hex.txt lists
 # the SHA-256 of depth_feature_stack at 16x16 and 8x8, align_depth at 8x8,
 # the arms' 16x16 structure_mask and embed's four arm embeddings, for scene
@@ -98,6 +101,20 @@ batteries += [(f"seed{s}", run_gradient_checks(base_seed=s, n_seeds=1)) for s in
 for label, rows in batteries:
     for r in rows:
         print(label, r.group, r.loss, r.max_rel_err.hex(), r.n_evals)
+PY
+    python - > gradcheck_eps.txt <<'PY'
+from geoalign.checks import run_gradient_checks
+
+steps = [1e-330, 5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-20, 1e-17, 1e-16, 3e-16,
+         1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 1e10,
+         1e100, 1e154, 1e155, 1e200, 1e291, 1e300, 1e306, 3.7e306]
+for k, eps in enumerate(steps):
+    try:
+        rows = run_gradient_checks(base_seed=k % 5, n_seeds=2, eps=eps)
+        result = " ".join(r.max_rel_err.hex() for r in rows)
+    except ValueError as exc:
+        result = f"error: {exc}"
+    print(k % 5, repr(eps), result)
 PY
     python - > pooled_hex.txt <<'PY'
 from hashlib import sha256

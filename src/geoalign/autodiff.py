@@ -319,14 +319,17 @@ class Kernel2D:
     ``weights`` is a ``(C, k, k)`` stack: channel ``c`` of the input is
     correlated with its own ``k x k`` stencil ``weights[c]``, so the output
     keeps the input's channel count. One stencil for a one-channel map is a
-    ``(1, k, k)`` stack.
+    ``(1, k, k)`` stack. A ``(B, C, k, k)`` per-item stack gives batch item
+    ``b`` its own stencils ``weights[b]``: each item's output, and its
+    stencils' gradient, are the floats a call on that item alone gives.
     """
 
     def __init__(self, weights, dilation: int = 1):
         w = _as_tensor(weights)
-        if w.data.ndim != 3:
+        if w.data.ndim not in (3, 4):
             raise ValueError(
-                f"kernel weights must be a 3-d (C, k, k) stack, got shape {w.shape}"
+                f"kernel weights must be a 3-d (C, k, k) stack or a 4-d (B, C, k, k) "
+                f"per-item stack, got shape {w.shape}"
             )
         k = w.data.shape[-1]
         if w.data.shape[-2] != k:
@@ -361,11 +364,14 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
         raise ValueError(f"conv2d expects a 4-d tensor, got shape {t.shape}")
     b, c, h, w = t.data.shape
     kw = kernel.weights
-    if kw.data.shape[0] != c:
+    if kw.data.shape[-3] != c:
         raise ValueError(
-            f"depthwise kernel carries {kw.data.shape[0]} channel stencils "
+            f"depthwise kernel carries {kw.data.shape[-3]} channel stencils "
             f"but the input has {c} channels (shapes {kw.shape} vs {t.shape})"
         )
+    if kw.data.ndim == 4 and kw.data.shape[0] != b:
+        raise ValueError(f"per-item kernel stack holds {kw.data.shape[0]} items "
+                         f"but the batch has {b} (shapes {kw.shape} vs {t.shape})")
     k, d = kernel.size, kernel.dilation
     pad = (k // 2) * d
     # Replicate padding as a clamped-index gather. One ``take`` per axis
@@ -375,8 +381,11 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
     rows = np.minimum(np.maximum(np.arange(-pad, h + pad), 0), h - 1)
     cols = np.minimum(np.maximum(np.arange(-pad, w + pad), 0), w - 1)
     xp = t.data.take(rows, axis=2).take(cols, axis=3)
-    # coeff[:, :, u, v] is tap (u, v)'s stencil weights as a (1, C, 1, 1) view.
-    coeff = kw.data.reshape(1, c, k, k, 1, 1)
+    # coeff[:, :, u, v] is tap (u, v)'s stencil weights as a (1, C, 1, 1) view,
+    # or (B, C, 1, 1) for a per-item stack.
+    coeff = kw.data.reshape(-1, c, k, k, 1, 1)
+    # A shared stencil's gradient sums over the batch; a per-item one's does not.
+    spec = "bchw,bchw->c" if kw.data.ndim == 3 else "bchw,bchw->bc"
 
     def tap(u: int, v: int) -> Array:
         return xp[:, :, u * d:u * d + h, v * d:v * d + w]
@@ -391,7 +400,7 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
         gw = np.zeros_like(kw.data)
         for u in range(k):
             for v in range(k):
-                gw[:, u, v] = np.einsum("bchw,bchw->c", g, tap(u, v))
+                gw[..., u, v] = np.einsum(spec, g, tap(u, v))
                 gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff[:, :, u, v] * g
         return _fold_replicate(gxp, pad, h, w), gw
 
@@ -399,27 +408,38 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
 
 
 def channel_project(t: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """1x1 projection across channels: out[b,o] = sum_c w[o,c] * x[b,c] + bias[o]."""
+    """1x1 projection across channels: out[b,o] = sum_c w[o,c] * x[b,c] + bias[o].
+
+    ``weights`` is ``(C_out, C_in)`` or a per-item ``(B, C_out, C_in)`` stack,
+    and ``bias`` is ``(C_out,)`` or a per-item ``(B, C_out)`` one, each on its
+    own. Each item gets its own gemm, so its output, and a per-item
+    parameter's gradient, are the floats a call on that item alone gives;
+    a shared parameter's gradient sums over the batch.
+    """
     t, weights, bias = _as_tensor(t), _as_tensor(weights), _as_tensor(bias)
     if t.data.ndim != 4:
         raise ValueError(f"channel_project expects a 4-d tensor, got shape {t.shape}")
-    c_out, c_in = weights.data.shape
+    b, _, h, w = t.data.shape
+    c_out, c_in = weights.data.shape[-2:]
     if t.data.shape[1] != c_in:
         raise ValueError(
             f"projection expects {c_in} input channels, got {t.data.shape[1]} "
             f"(shapes {weights.shape} vs {t.shape})"
         )
-    if bias.data.shape != (c_out,):
-        raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
-    b, _, h, w = t.data.shape
+    if weights.data.ndim == 3 and weights.data.shape[0] != b:
+        raise ValueError(f"per-item weights hold {weights.data.shape[0]} items "
+                         f"but the batch has {b} (shapes {weights.shape} vs {t.shape})")
+    if bias.data.shape not in ((c_out,), (b, c_out)):
+        raise ValueError(f"bias must have shape ({c_out},) or ({b}, {c_out}), got {bias.shape}")
     x = t.data.reshape(b, c_in, h * w)
-    out = (weights.data @ x).reshape(b, c_out, h, w) + bias.data.reshape(1, c_out, 1, 1)
+    out = (weights.data @ x).reshape(b, c_out, h, w) + bias.data.reshape(-1, c_out, 1, 1)
 
     def pullback(g):
         g = g.reshape(b, c_out, h * w)
-        gx = (weights.data.T @ g).reshape(b, c_in, h, w)
-        gw = (g @ x.transpose(0, 2, 1)).sum(axis=0)
-        return gx, gw, g.sum(axis=(0, 2))
+        gx = (np.swapaxes(weights.data, -1, -2) @ g).reshape(b, c_in, h, w)
+        gw = g @ x.transpose(0, 2, 1)
+        return (gx, gw if weights.data.ndim == 3 else gw.sum(axis=0),
+                g.sum(axis=2) if bias.data.ndim == 2 else g.sum(axis=(0, 2)))
 
     return _emit((t, weights, bias), out, pullback)
 

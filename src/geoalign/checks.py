@@ -105,9 +105,9 @@ class _Scenario:
     contrast_partition: ActivationPartition
     params: dict[str, Array]
     margin: float  # of the contrast hinge
-    # Parts computed from ``params`` itself, keyed by part name. ``replace``
-    # hands the same dict on, so it lives as long as the scenario.
-    prefix: dict = field(default_factory=dict, compare=False, repr=False)
+    # The parts of ``params`` itself, keyed like ``_PART_GROUPS``; None until
+    # ``_build_scenario`` computes them.
+    base: dict[str, tuple[Tensor, ...]] | None = field(default=None, compare=False, repr=False)
 
 
 def _build_scenario(seed: int) -> _Scenario:
@@ -142,6 +142,7 @@ def _build_scenario(seed: int) -> _Scenario:
     # tie bit for bit (tests/test_checks.py checks 200 scenarios).
     contrast_partition = partition_by_quantile(geometry.mask(baseline_gate).values[0])
     scenario = _Scenario(encoder, stack, geometry, contrast_partition, params, margin=0.5)
+    scenario = replace(scenario, base=_parts([params], scenario))
     # Stable regions out-activate unstable ones at the default margin, which
     # would park the contrast hinge at zero and reduce its gradient check to
     # 0 == 0. Raise the margin until the hinge is active with 0.5 of slack, so
@@ -150,43 +151,85 @@ def _build_scenario(seed: int) -> _Scenario:
     return replace(scenario, margin=max(0.5, report.v_stable - report.v_unstable + 0.5))
 
 
-def _part(scenario: _Scenario, params: dict, name: str, fn, *args):
-    """``fn(*args)``, computed once per scenario while every group it reads
-    ``is`` the scenario's own array.
+def _tiled(t: Tensor, n: int) -> Tensor:
+    """``t``'s batch repeated ``n`` times; once is ``t`` itself."""
+    return t if n == 1 else Tensor(np.concatenate([t.data] * n))
 
-    A finite-difference probe copies the groups it leaves alone by reference,
-    so those parts are the same floats as the stored ones. Identity, not
-    ``id``, is compared: a freed probe array's ``id`` can come back. Taped
-    leaves are never the scenario's arrays, so the taped pass reuses nothing.
+
+def _tiled_geometry(geometry: MaskGeometry, n: int) -> MaskGeometry:
+    """``geometry``'s stacked maps repeated ``n`` times; once is ``geometry`` itself."""
+    if n == 1:
+        return geometry
+    partition = geometry.partition
+    return MaskGeometry(EdgePartition(np.concatenate([partition.edge_mask] * n),
+                                      np.concatenate([partition.threshold] * n)),
+                        np.concatenate([geometry.reference] * n),
+                        np.concatenate([geometry.consistency] * n))
+
+
+def _parts(param_sets: list[dict], scenario: _Scenario) -> dict[str, tuple[Tensor, ...]]:
+    """The parts of every set, keyed like ``_PART_GROUPS``, each a batch of 3P
+    maps in set order: the features, the mid and far branches, the scale
+    weights and the gate values.
+
+    A part runs once, over the sets that change a group it reads (every set,
+    while the scenario has no base parts); the other sets take the scenario's
+    base part. A set changes a group when its array ``is not`` the scenario's:
+    a finite-difference probe copies the groups it leaves alone by reference,
+    and taped leaves are never the scenario's arrays. When every set reads a
+    part, its tensors pass on as they are, so a taped pass of one set records
+    no extra op.
     """
-    if any(params[g] is not scenario.params[g] for g in _PART_GROUPS[name]):
-        return fn(*args)
-    if name not in scenario.prefix:
-        scenario.prefix[name] = fn(*args)
-    return scenario.prefix[name]
+    p = len(param_sets)
 
+    def per_map(picked: list[int], group: str) -> Array | Tensor:
+        """``group``'s parameters for the maps of the sets ``picked``: a lone
+        set's own array (or tape leaf), shared by its three maps; else a
+        per-item stack, each set's array repeated once per map (a gate scalar
+        as a (1, 1) map)."""
+        if len(picked) == 1:
+            return param_sets[picked[0]][group]
+        arrays = [param_sets[k][group] for k in picked]
+        return np.repeat(np.stack([a.reshape(a.shape or (1, 1)) for a in arrays]), 3, axis=0)
 
-def _parts(params: dict, scenario: _Scenario) -> tuple[Tensor, ...]:
-    """One parameter set's parts for the batch of three maps: the features,
-    the mid and far branches, the scale weights and the gate values."""
-    fusion = FusionParams(params["mid_kernel"], params["far_kernel"],
-                          params["head_weights"], params["head_bias"])
-    gate = GateParams(gain=params["gate_gain"], bias=params["gate_bias"])
-    encoder = replace(scenario.encoder, dw1=params["enc_dw1"], pw2=params["enc_pw2"])
-    x = scenario.stack
-    features = _part(scenario, params, "features", encoder.forward, x)
-    branches = _part(scenario, params, "branches", scale_branches, features, fusion)
-    weights = _part(scenario, params, "weights", scale_weights, x, fusion)
-    mask = _part(scenario, params, "mask", scenario.geometry.mask, gate)
-    return (features, *branches, weights, mask.mask)
+    def fusion(picked: list[int]) -> FusionParams:
+        return FusionParams(*(per_map(picked, g) for g in
+                              ("mid_kernel", "far_kernel", "head_weights", "head_bias")))
 
+    def features(picked: list[int]) -> tuple[Tensor, ...]:
+        encoder = replace(scenario.encoder, dw1=per_map(picked, "enc_dw1"),
+                          pw2=per_map(picked, "enc_pw2"))
+        return (encoder.forward(_tiled(scenario.stack, len(picked))),)
 
-def _concat(parts: tuple[Tensor, ...]) -> Tensor:
-    """The parts' batches, in order, as one; a lone part is itself, so a taped
-    pass of one set records no extra op."""
-    if len(parts) == 1:
-        return parts[0]
-    return Tensor(np.concatenate([part.data for part in parts]))
+    def branches(picked: list[int]) -> tuple[Tensor, ...]:
+        (f,) = parts["features"]
+        if len(picked) < p:
+            f = Tensor(f.data.reshape(p, -1)[picked].reshape(-1, *f.shape[1:]))
+        return scale_branches(f, fusion(picked))
+
+    def weights(picked: list[int]) -> tuple[Tensor, ...]:
+        return (scale_weights(_tiled(scenario.stack, len(picked)), fusion(picked)),)
+
+    def gate_values(picked: list[int]) -> tuple[Tensor, ...]:
+        gate = GateParams(per_map(picked, "gate_gain"), per_map(picked, "gate_bias"))
+        return (_tiled_geometry(scenario.geometry, len(picked)).mask(gate).mask,)
+
+    parts: dict[str, tuple[Tensor, ...]] = {}
+    for name, run in (("features", features), ("branches", branches),
+                      ("weights", weights), ("mask", gate_values)):
+        picked = [k for k, params in enumerate(param_sets)
+                  if scenario.base is None
+                  or any(params[g] is not scenario.params[g] for g in _PART_GROUPS[name])]
+        if len(picked) == p:
+            parts[name] = run(picked)
+            continue
+        merged = [np.concatenate([t.data] * p) for t in scenario.base[name]]
+        if picked:
+            for whole, t in zip(merged, run(picked)):
+                # A contiguous array's reshape is a view, so this writes into it.
+                whole.reshape(p, -1)[picked] = t.data.reshape(len(picked), -1)
+        parts[name] = tuple(map(Tensor, merged))
+    return parts
 
 
 def _losses(param_sets: list[dict],
@@ -194,16 +237,17 @@ def _losses(param_sets: list[dict],
     """The three losses of one scenario under each of P parameter sets, as
     (P,) tensors, and the anchor's contrast report per set.
 
-    Each set's parts run on their own, and ``_part`` reuses those it leaves
-    unchanged; the rest of the chain runs once for the parts concatenated into
-    a batch of 3P maps. Every forward op works per map and every reduction of
-    the losses per item, so a set's losses are the floats a pass of that set
-    alone, or of each map alone, gives; only the shared parameters' gradients
-    differ from a per-map pass, summed over the batch in one reduction.
+    The rest of the chain runs once for the parts of all sets, a batch of 3P
+    maps. Every forward op works per map, a per-item parameter stack gives
+    each map the floats its own set gives, and every reduction of the losses
+    works per item, so a set's losses are the floats a pass of that set alone,
+    or of each map alone, gives; only the shared parameters' gradients differ
+    from a per-map pass, summed over the batch in one reduction.
     """
     p = len(param_sets)
-    features, mid, far, weights, mask = (
-        _concat(column) for column in zip(*(_parts(params, scenario) for params in param_sets)))
+    parts = _parts(param_sets, scenario)
+    (features,), (mid, far), (weights,), (mask,) = (
+        parts[name] for name in ("features", "branches", "weights", "mask"))
     edges = np.concatenate([scenario.geometry.partition.edge_mask] * p)
     features = modulate(fuse(features, (mid, far), weights), GeoMask(mask, edges))
     embeddings = reshape(pooled_embeddings(features, _POOL), (p, 3, -1))
@@ -228,45 +272,50 @@ def _analytic_gradients(scenario: _Scenario) -> dict[str, dict[str, Array]]:
     return gradients
 
 
-def _probe_losses(scenario: _Scenario, group: str, coords: list[int],
+def _probe_losses(scenario: _Scenario, probed: list[tuple[str, int]],
                   eps: float) -> dict[str, list[float]]:
-    """The three losses at every probe of ``group``, as one batch: for each
-    ``idx`` in ``coords``, coordinate ``idx`` shifted by ``+eps``, then by
-    ``-eps``. Raises, naming the step size, the error that the first failing
-    probe raises on its own: its shift is lost to rounding, or it overflows
-    the forward pass."""
-    base = scenario.params[group]
-    probes = []
-    for idx, step in product(coords, (eps, -eps)):
+    """The three losses at every probe, as one batch: for each ``(group,
+    idx)`` in ``probed``, coordinate ``idx`` of ``group`` shifted by ``+eps``,
+    then by ``-eps``. Raises, naming the step size and the group, the error
+    that the first failing probe raises on its own: its shift is lost to
+    rounding, or it overflows the forward pass."""
+    probes: dict[str, list[Array]] = {}
+    for (group, idx), step in product(probed, (eps, -eps)):
+        base = scenario.params[group]
         arr = base.copy()
         arr.flat[idx] += step
-        probes.append(arr)
+        probes.setdefault(group, []).append(arr)
         if arr.flat[idx] == base.flat[idx]:
             # Below the coordinate's float spacing: the finite difference
             # would read 0 whatever the gradient. A probe before it that
             # overflows fails first; this one runs the unshifted parameters.
-            _run_probes(scenario, group, probes, eps)
+            _run_probes(scenario, probes, eps)
             raise ValueError(f"step size {eps} is too small for the {group} probes "
                              f"(a shifted coordinate is unchanged)")
-    return _run_probes(scenario, group, probes, eps)
+    return _run_probes(scenario, probes, eps)
 
 
-def _run_probes(scenario: _Scenario, group: str, probes: list[Array],
+def _run_probes(scenario: _Scenario, probes: dict[str, list[Array]],
                 eps: float) -> dict[str, list[float]]:
-    """The three losses with ``group`` set to each array of ``probes``, in
-    one ``_losses`` batch."""
+    """The three losses with each group of ``probes`` set to each of its
+    arrays, in order, in one ``_losses`` batch."""
     # A step that overflows the forward pass surfaces as a degenerate value,
     # or as an invalid operation on an overflowed (non-finite) tensor.
     try:
         with np.errstate(over="ignore"):
-            values, _ = _losses([{**scenario.params, group: arr} for arr in probes], scenario)
+            values, _ = _losses([{**scenario.params, group: arr}
+                                 for group, arrays in probes.items() for arr in arrays], scenario)
     except (ValueError, FloatingPointError) as exc:
-        if len(probes) > 1:
-            # The batch stops at its first failing op, which need not be its
-            # first failing probe's: run each probe alone, in order, so that
-            # the first to fail names the error.
-            for arr in probes:
-                _run_probes(scenario, group, [arr], eps)
+        # The batch stops at its first failing op, which need not be its
+        # first failing probe's: run each group's probes, in order, then each
+        # probe of a lone group alone, so that the first to fail names the error.
+        (group, arrays), *later = probes.items()
+        if later:
+            for each_group, each_arrays in probes.items():
+                _run_probes(scenario, {each_group: each_arrays}, eps)
+        elif len(arrays) > 1:
+            for arr in arrays:
+                _run_probes(scenario, {group: [arr]}, eps)
         reason = exc if isinstance(exc, ValueError) else NOT_FINITE
         raise ValueError(f"step size {eps} is too large for the {group} probes "
                          f"({reason})") from None
@@ -293,19 +342,20 @@ def run_gradient_checks(base_seed: int = 0, n_seeds: int = 20,
             scenario = _build_scenario(int(raw_seed))
             analytic = _analytic_gradients(scenario)
             coord_rng = np.random.default_rng(int(raw_seed) + 1)
+            probed = []
             for group in PARAM_GROUPS:
                 size = scenario.params[group].size
-                coords = [int(i) for i in coord_rng.choice(size, size=min(3, size),
-                                                           replace=False)]
-                values = _probe_losses(scenario, group, coords, eps)
-                n_evals[group] += len(coords)
-                for k, idx in enumerate(coords):
-                    for loss_name in LOSS_NAMES:
-                        plus, minus = values[loss_name][2 * k:2 * k + 2]
-                        fd = (plus - minus) / (2.0 * eps)
-                        ga = float(analytic[loss_name][group].flat[idx])
-                        rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
-                        worst[group, loss_name] = max(worst[group, loss_name], rel)
+                probed += [(group, int(i))
+                           for i in coord_rng.choice(size, size=min(3, size), replace=False)]
+            values = _probe_losses(scenario, probed, eps)
+            for k, (group, idx) in enumerate(probed):
+                n_evals[group] += 1
+                for loss_name in LOSS_NAMES:
+                    plus, minus = values[loss_name][2 * k:2 * k + 2]
+                    fd = (plus - minus) / (2.0 * eps)
+                    ga = float(analytic[loss_name][group].flat[idx])
+                    rel = abs(ga - fd) / max(abs(ga), abs(fd), REL_ERR_FLOOR)
+                    worst[group, loss_name] = max(worst[group, loss_name], rel)
     return [
         GradientCheck(group, loss, worst[group, loss], n_evals[group])
         for group in PARAM_GROUPS

@@ -33,6 +33,7 @@ from geoalign.autodiff import (
     softmax_over_axis,
     sum_all,
 )
+from geoalign.structure_filter import GateParams, adaptive_gate
 from identity_params import delta_kernel
 
 
@@ -199,7 +200,7 @@ class TestKernel2D:
         with pytest.raises(ValueError, match="3-d"):
             Kernel2D(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="3-d"):
-            Kernel2D(np.zeros((1, 2, 3, 3)))
+            Kernel2D(np.zeros((2, 1, 2, 3, 3)))
         with pytest.raises(ValueError, match="dilation"):
             Kernel2D(np.zeros((1, 3, 3)), dilation=0)
 
@@ -393,6 +394,73 @@ class TestChannelProject:
         with pytest.raises(ValueError, match="4-d"):
             channel_project(Tensor(np.zeros((3, 2))),
                             Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+
+
+def taped_call(op, arrays, g):
+    """``op`` on tape leaves of ``arrays``, pulled back from ``sum(out * g)``:
+    the output data and each leaf's gradient."""
+    tape = Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    out = op(*leaves)
+    tape.backward(sum_all(mul(out, Tensor(g))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+class TestPerItemParameters:
+    """A per-item parameter stack gives each batch item the floats of a call
+    on that item alone, and each item its own parameter gradient."""
+
+    def assert_items_match(self, op, arrays, alone, per_item):
+        """Item i of ``op(*arrays)``, of the input's gradient and of the
+        gradient of each array flagged in ``per_item`` equals, byte for byte,
+        the call on ``alone(i)``."""
+        g = np.random.default_rng(1).normal(size=op(*arrays).shape)
+        out, grads = taped_call(op, arrays, g)
+        for i in range(len(g)):
+            out_i, grads_i = taped_call(op, alone(i), g[i:i + 1])
+            assert out[i:i + 1].tobytes() == out_i.tobytes()
+            for grad, grad_i, item_wise in zip(grads, grads_i, (True, *per_item)):
+                if item_wise:
+                    assert grad[i].tobytes() == grad_i.tobytes()
+
+    def test_conv2d_kernel_stack(self):
+        rng = np.random.default_rng(0)
+        x, w = rng.normal(size=(5, 3, 6, 7)), rng.normal(size=(5, 3, 3, 3))
+        self.assert_items_match(lambda t, k: conv2d(t, Kernel2D(k, dilation=2)), [x, w],
+                                lambda i: [x[i:i + 1], w[i]], [True])
+
+    @pytest.mark.parametrize("w_items, b_items", [(True, True), (True, False), (False, True)])
+    def test_channel_project_stacks(self, w_items, b_items):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, 3, 4, 4))
+        w = rng.normal(size=(5, 2, 3) if w_items else (2, 3))
+        b = rng.normal(size=(5, 2) if b_items else 2)
+        self.assert_items_match(
+            channel_project, [x, w, b],
+            lambda i: [x[i:i + 1], w[i] if w_items else w, b[i] if b_items else b],
+            [w_items, b_items])
+
+    def test_gate_gain_and_bias_stacks(self):
+        rng = np.random.default_rng(3)
+        consistency = rng.uniform(-1.0, 1.0, size=(5, 4, 4))
+        gain, bias = rng.normal(5.0, 1.0, (5, 1, 1)), rng.normal(-2.5, 1.0, (5, 1, 1))
+        # Alone, each item's gain and bias are scalars.
+        self.assert_items_match(
+            lambda c, k, b: adaptive_gate(c, GateParams(k, b)), [consistency, gain, bias],
+            lambda i: [consistency[i:i + 1], gain[i, 0, 0], bias[i, 0, 0]], [True, True])
+
+    def test_a_stack_of_another_length_is_refused(self):
+        x = Tensor(np.zeros((5, 3, 4, 4)))
+        with pytest.raises(ValueError, match=r"per-item kernel stack holds 4 items but the "
+                                             r"batch has 5"):
+            conv2d(x, Kernel2D(np.zeros((4, 3, 3, 3))))
+        with pytest.raises(ValueError, match=r"per-item weights hold 4 items but the batch has 5"):
+            channel_project(x, np.zeros((4, 2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape("bias must have shape (2,) or (5, 2), "
+                                                       "got (4, 2)")):
+            channel_project(x, np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=re.escape("shapes (5,4,4) (4,1,1)")):
+            adaptive_gate(np.zeros((5, 4, 4)), GateParams(np.zeros((4, 1, 1)), 0.0))
 
 
 class TestL2Normalize:

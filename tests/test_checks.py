@@ -100,10 +100,44 @@ class TestRunGradientChecks:
         prefix = r"^step size 1e\+300 is too large for the mid_kernel probes "
         with float_policy():
             with pytest.raises(ValueError, match=prefix + r"\(tensor data must be finite\)$"):
-                checks._run_probes(scenario, "mid_kernel", probes[2:], 1e300)
+                checks._run_probes(scenario, {"mid_kernel": probes[2:]}, 1e300)
             with pytest.raises(ValueError, match=prefix + r"\(anchor must be unit length, "
                                                           r"got norm 0\.0\)$"):
-                checks._run_probes(scenario, "mid_kernel", probes, 1e300)
+                checks._run_probes(scenario, {"mid_kernel": probes}, 1e300)
+
+    def test_a_failing_batch_names_its_first_failing_group(self):
+        scenario = _build_scenario(int(np.random.default_rng(0).integers(0, 2**31 - 1)))
+        probes = {group: [scenario.params[group].copy()] for group in ("mid_kernel", "gate_gain")}
+        for (arr,) in probes.values():
+            arr.flat[0] += 1e300
+        # Alone, the mid_kernel probe fails at the triplet's unit-length check
+        # and the later group's gate_gain probe earlier, at the mask's range
+        # check, where the batch of both stops.
+        prefix = r"^step size 1e\+300 is too large for the "
+        with float_policy():
+            with pytest.raises(ValueError, match=prefix + r"gate_gain probes \(mask values must "
+                                                          r"lie strictly inside \(0, 1\)\)$"):
+                checks._run_probes(scenario, {"gate_gain": probes["gate_gain"]}, 1e300)
+            with pytest.raises(ValueError, match=prefix + r"mid_kernel probes \(anchor must be "
+                                                          r"unit length, got norm 0\.0\)$"):
+                checks._run_probes(scenario, probes, 1e300)
+
+    def test_an_earlier_groups_overflow_wins_over_a_later_lost_step(self):
+        scenario = _build_scenario(int(np.random.default_rng(0).integers(0, 2**31 - 1)))
+        # A coordinate of 1e308 loses a step of 1e291 to rounding, which
+        # overflows the mid_kernel probes.
+        pw2 = scenario.params["enc_pw2"].copy()
+        pw2.flat[0] = 1e308
+        scenario = replace(scenario, params={**scenario.params, "enc_pw2": pw2})
+        with float_policy():
+            with pytest.raises(ValueError, match=r"^step size 1e\+291 is too small for the "
+                                                 r"enc_pw2 probes \(a shifted coordinate "
+                                                 r"is unchanged\)$"):
+                checks._probe_losses(scenario, [("enc_pw2", 0)], 1e291)
+            with pytest.raises(ValueError, match=r"^step size 1e\+291 is too large for the "
+                                                 r"mid_kernel probes \(anchor must be unit "
+                                                 r"length, got norm 0\.0\)$"):
+                checks._probe_losses(scenario, [("mid_kernel", 0), ("enc_pw2", 0)], 1e291)
 
     def test_every_tape_is_freed_without_the_cycle_collector(self, monkeypatch):
         built = []
@@ -184,9 +218,9 @@ class TestProbeReuse:
         monkeypatch.undo()
         batches = [(p, s, v) for p, s, v in calls
                    if not any(isinstance(a, Tensor) for a in p[0].values())]
-        # Per scenario: the margin pass (one parameter set) and one batch per
-        # parameter group (40 sets in all).
-        assert len(batches) == 2 * 9
+        # Per scenario: the margin pass (one parameter set) and one batch of
+        # every group's probes (40 sets).
+        assert len(batches) == 2 * 2
         assert sum(len(p) for p, _, _ in batches) == 2 * 41
         for param_sets, scenario, (values, reports) in batches:
             # Copies share no array with the scenario, so nothing is reused.
@@ -200,21 +234,21 @@ class TestProbeReuse:
     def test_one_scenario_computes_each_part_as_often_as_predicted(self, monkeypatch):
         counts = count_parts(monkeypatch)
         run_gradient_checks(n_seeds=1)
-        # One batch of three geometries per _losses call. Each part runs once
-        # in the margin probe, once in the taped pass and once in each of the
-        # probes that change it: 12 encoder, 24 branch, 12 head and 4 gate
-        # probes of 40. The gate also runs once for the contrast partition.
-        assert counts == {"forward": 14, "branches": 26, "weights": 14, "gate": 7}
+        # Each part runs once for the base parts, once in the taped pass and
+        # once over all the probes that change it (12 encoder, 24 branch, 12
+        # head and 4 gate probes of 40). The gate also runs once for the
+        # contrast partition.
+        assert counts == {"forward": 3, "branches": 3, "weights": 3, "gate": 4}
 
     def test_taped_pass_rebuilds_every_part(self, monkeypatch):
         scenario = _build_scenario(int(np.random.default_rng(0).integers(0, 2**31 - 1)))
-        stored = dict(scenario.prefix)
+        stored = dict(scenario.base)
         assert set(stored) == {"features", "branches", "weights", "mask"}
         counts = count_parts(monkeypatch)
         checks._analytic_gradients(scenario)
         assert counts == {"forward": 1, "branches": 1, "weights": 1, "gate": 1}
-        assert scenario.prefix.keys() == stored.keys()
-        assert all(scenario.prefix[key] is part for key, part in stored.items())
+        assert scenario.base.keys() == stored.keys()
+        assert all(scenario.base[key] is part for key, part in stored.items())
 
 
 def per_geometry_inputs(seed):
@@ -333,13 +367,12 @@ class TestSharedChains:
         del tails[:]
         run_gradient_checks(n_seeds=1)
         # The margin pass and the taped pass pool one batch of three maps to
-        # 2x2; then each group's probes run as one batch of three maps per
-        # probe: 6 probes per group, 2 for the one-coordinate gate groups.
-        probes = [6, 6, 6, 6, 2, 2, 6, 6]
-        assert tails == [(3, 2)] * 2 + [(3 * p, 2) for p in probes]
+        # 2x2; then all 40 probes run as one batch of three maps per probe:
+        # 6 per group, 2 for each one-coordinate gate group.
+        assert tails == [(3, 2)] * 2 + [(3 * 40, 2)]
         # The anchors alone, on the scenario's frozen partition; the margin
         # pass runs at 0.5 and every later call at the raised margin.
-        assert [n for n, _, _ in contrasts] == [1, 1] + probes
+        assert [n for n, _, _ in contrasts] == [1, 1, 40]
         assert len({id(partition) for _, partition, _ in contrasts}) == 1
         margins = [margin for _, _, margin in contrasts]
         assert margins[0] == 0.5 and len(set(margins[1:])) == 1
