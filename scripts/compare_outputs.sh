@@ -7,9 +7,11 @@
 # Each tree is a checkout of this repository; its package is imported from
 # <tree>/src. The commands cover the default outputs of every subcommand:
 # synth (README spec, both views), mask (default flags, one non-default set,
-# --k 1, where the k-means assignment loop never runs, and --tau-q 0, where
-# every pixel is an edge), eval, bench (all arms, and --ablation mgsf, where
-# `embed` builds only some arms) and gradcheck. Because `gradcheck` prints
+# --k 1, where the k-means assignment loop never runs, --tau-q 0, where
+# every pixel is an edge, and --k 9 on a 3x3 raster whose 5 flat pixels are
+# fewer than the clusters, so the dominant normal is their mean), eval,
+# bench (all arms, and --ablation mgsf, where `embed` builds only some arms)
+# and gradcheck. Because `gradcheck` prints
 # its errors to three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
 # at one scenario each, so the errors must match bit for bit, and
@@ -69,6 +71,10 @@ run_commands() {
       --k 5 --seed 3 --dilation 1 --tau-q 0.5 > mask_flags.txt
     python -m geoalign mask out/oblique.depth.geod out/k1 --k 1 > mask_k1.txt
     python -m geoalign mask out/oblique.depth.geod out/tq0 --tau-q 0 > mask_tq0.txt
+    python -c 'import struct, sys
+sys.stdout.buffer.write(b"GEOD 1 3 3\n" + struct.pack("<9d", 40.0, 41.5, 43.0, 40.25, 42.0,
+                                                      44.5, 40.75, 43.25, 46.0))' > tiny.geod
+    python -m geoalign mask tiny.geod out/few_flat --dilation 1 --tau-q 0.5 --k 9 > mask_few_flat.txt
     python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
     python -m geoalign bench --scenes 20 --seed 3 --ablation mgsf --out bench_mgsf.csv > /dev/null

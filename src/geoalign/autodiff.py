@@ -72,9 +72,10 @@ class Tape:
 
     Each record is an ``(output, inputs, pullback)`` triple. ``backward`` walks
     the record in exact reverse execution order and accumulates gradients into
-    every taped tensor reachable from the loss, writing each one's ``.grad`` as
-    it goes; a constant (untaped) input receives none. Calling it again
-    overwrites the gradients it reaches.
+    every taped input of a record that the loss reaches, writing each one's
+    ``.grad`` as it goes; a constant (untaped) input receives none, and nor
+    does the loss itself. Calling it again overwrites the gradients it
+    reaches.
     """
 
     def __init__(self):
@@ -91,8 +92,6 @@ class Tape:
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        if loss.tape is not None:
-            loss.grad = grads[id(loss)]
         for output, inputs, pullback in reversed(self._nodes):
             g_out = grads.get(id(output))
             if g_out is None:

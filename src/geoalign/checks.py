@@ -50,6 +50,7 @@ from .scale_fusion import (
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
 from .structure_filter import (
+    DepthMap,
     EdgePartition,
     GateParams,
     GeoMask,
@@ -114,16 +115,11 @@ def _build_scenario(seed: int) -> _Scenario:
     rng = np.random.default_rng(seed)
     seed_a, seed_b = (int(s) for s in rng.integers(0, 2**31 - 1, size=2))
     spec_a, spec_b = facade_heavy_spec(seed_a), facade_heavy_spec(seed_b)
-    depths = (render_oblique(spec_a)[0], render_ortho(spec_a)[0], render_ortho(spec_b)[0])
-    # Each map is standardized on its own, as ``embed`` does, before stacking.
-    stack = Tensor(np.concatenate(
-        [standardize_stack(depth_feature_stack(depth, *_GRID)) for depth in depths]))
-    maps = [MaskGeometry.from_depth(align_depth(depth, *_GRID)) for depth in depths]
-    geometry = MaskGeometry(
-        EdgePartition(np.stack([g.partition.edge_mask for g in maps]),
-                      np.array([g.partition.threshold for g in maps])),
-        np.stack([g.reference for g in maps]),
-        np.stack([g.consistency for g in maps]))
+    depths = DepthMap(np.stack([render_oblique(spec_a)[0].values, render_ortho(spec_a)[0].values,
+                                render_ortho(spec_b)[0].values]))
+    # Each map is standardized on its own, as ``embed`` does.
+    stack = Tensor(standardize_stack(depth_feature_stack(depths, *_GRID)))
+    geometry = MaskGeometry.from_depth(align_depth(depths, *_GRID))
     encoder = ToyEncoder.seeded(seed, channels=_CHANNELS)
     params = {
         "mid_kernel": 1.0 / 9.0 + rng.normal(0.0, 0.02, (_CHANNELS, 3, 3)),

@@ -73,7 +73,7 @@ def partition_by_quantile(mask, q_high: float = 0.7,
     flat = np.sort(values, axis=None)
     n = flat.size
     tau_high = float(flat[math.ceil(q_high * n) - 1])
-    tau_low = float(flat[min(math.floor(q_low * n), n - 1)])
+    tau_low = float(flat[math.floor(q_low * n)])
     return ActivationPartition(stable=values > tau_high, unstable=values < tau_low)
 
 
@@ -107,7 +107,7 @@ def aggregate_activation(activation: Tensor,
     return v_stable, v_unstable
 
 
-def contrast_hinge(v_stable, v_unstable, margin: float = 0.5) -> Tensor:
+def contrast_hinge(v_stable, v_unstable, margin: float) -> Tensor:
     """max(0, margin + v_unstable - v_stable)."""
     return relu(add(add(Tensor(float(margin)), v_unstable), mul(v_stable, -1.0)))
 

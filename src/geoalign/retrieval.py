@@ -33,6 +33,7 @@ from .autodiff import (
     float_policy,
     l2_normalize,
     reshape,
+    row_dot,
     select_index,
     sigmoid,
 )
@@ -45,7 +46,7 @@ from .scale_fusion import (
     scale_weights,
 )
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
-from .structure_filter import DepthMap, FilterConfig, modulate, structure_mask
+from .structure_filter import DepthMap, FilterConfig, GeoMask, modulate, structure_mask
 
 ARMS = ("base", "mgsa", "mgsf", "full")
 FEATURE_GRID = (16, 16)
@@ -97,14 +98,15 @@ class ToyEncoder:
 
 
 def standardize_stack(stack: Array) -> Array:
-    """Zero-mean, unit-variance per channel (shared across batch and space)."""
-    mean = stack.mean(axis=(0, 2, 3), keepdims=True)
-    std = stack.std(axis=(0, 2, 3), keepdims=True)
+    """Zero-mean, unit-variance per channel of each map, over its pixels."""
+    mean = stack.mean(axis=(2, 3), keepdims=True)
+    std = stack.std(axis=(2, 3), keepdims=True)
     return (stack - mean) / (std + 1e-8)
 
 
 def detrend_depth(depth: DepthMap) -> DepthMap:
-    """Remove the least-squares plane from a depth map.
+    """Remove the least-squares plane from a depth map, or from each map of
+    a stack.
 
     Cross-view pairs differ by a global attitude change on top of the
     structural differences; fitting and subtracting a plane leaves only the
@@ -113,14 +115,18 @@ def detrend_depth(depth: DepthMap) -> DepthMap:
     fit is closed-form: on the full grid, centred column and row coordinates
     are orthogonal to each other and to the constant, so each slope is the
     column (row) sums dotted with them, over ``h`` (``w``) times their norm².
+    Each dot is ``row_dot``'s (1, W) @ (W, 1) product, the 1-d ``@`` bit for
+    bit; a (B, W) @ (W,) matrix-vector product is not.
     """
     values = depth.values
-    h, w = values.shape
+    h, w = values.shape[-2:]
     cols, rows = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
     cx, cy = cols - (w - 1) / 2.0, rows - (h - 1) / 2.0
-    slope_x = (values.sum(axis=0) @ cx) / (h * (cx @ cx))
-    slope_y = (values.sum(axis=1) @ cy) / (w * (cy @ cy))
-    return DepthMap(values - slope_x * cols - slope_y * rows[:, None])
+    slope_x = row_dot(values.sum(axis=-2), cx)[..., None] / (h * (cx @ cx))
+    slope_y = row_dot(values.sum(axis=-1), cy)[..., None] / (w * (cy @ cy))
+    detrended = values - slope_x * cols
+    detrended -= slope_y * rows[:, None]
+    return DepthMap(detrended)
 
 
 def pooled_embeddings(features: Tensor, pool: int) -> Tensor:
@@ -130,26 +136,56 @@ def pooled_embeddings(features: Tensor, pool: int) -> Tensor:
     return l2_normalize(reshape(adaptive_avg_pool(features, pool, pool), (n, c * pool * pool)))
 
 
-def embed(depth: DepthMap, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
-          fusion: FusionParams) -> list[Tensor]:
-    """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
-    pair in ``arm_parts``.
+@dataclass(frozen=True)
+class DepthSide:
+    """What ``embed`` reads of a (B, H, W) stack of depth maps, each field
+    computed in one pass over the stack; item ``i`` of each is map ``i``'s,
+    the floats that map alone gets."""
 
-    The depth map is plane-detrended, reduced to fixed derived channels and
-    encoded; the features are optionally fused across scales and optionally
-    modulated by the geometric mask under the default gate, then globally
-    average-pooled (``pooled_embeddings`` at pool 1). The mask is computed from
-    the original depth map — handling oblique geometry is its job — while the
-    encoder sees the detrended one. The encoder, the fusion and the mask each
-    run at most once for all pairs; only the modulation, pooling and
-    normalization run per pair. Only fused pairs read ``fusion``.
-    """
-    stack = Tensor(standardize_stack(depth_feature_stack(detrend_depth(depth), *FEATURE_GRID)))
-    plain = encoder.forward(stack)
+    features: Array  # (B, DEPTH_CHANNELS, h, w), each map standardized on its own
+    weights: Array | None  # (B, 3, 1, h, w) scale weights; None if no pair is fused
+    mask: GeoMask | None  # (B, h, w) under the default gate; None if no pair is masked
+
+
+def depth_side(depths: DepthMap, arm_parts: Sequence[tuple[bool, bool]],
+               fusion: FusionParams) -> DepthSide:
+    """The depth side of ``embed`` for a (B, H, W) stack of maps: the
+    standardized feature stacks of the plane-detrended maps and, when a
+    (uses fusion, uses mask) pair of ``arm_parts`` needs them, their scale
+    weights and the masks of the original maps (handling oblique geometry is
+    the mask's job). Only fused pairs read ``fusion``."""
+    features = standardize_stack(depth_feature_stack(detrend_depth(depths), *FEATURE_GRID))
+    weights = mask = None
     if any(fused for fused, _ in arm_parts):
-        fused_features = fuse(plain, scale_branches(plain, fusion), scale_weights(stack, fusion))
+        weights = scale_weights(Tensor(features), fusion).data
     if any(masked for _, masked in arm_parts):
-        mask = structure_mask(depth, *FEATURE_GRID, cfg=ARM_FILTER_CONFIG)
+        mask = structure_mask(depths, *FEATURE_GRID, cfg=ARM_FILTER_CONFIG)
+    return DepthSide(features, weights, mask)
+
+
+def embed(depth: DepthMap | DepthSide, encoder: ToyEncoder,
+          arm_parts: Sequence[tuple[bool, bool]], fusion: FusionParams,
+          item: int = 0) -> list[Tensor]:
+    """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
+    pair in ``arm_parts``. ``depth`` is the map itself, or the ``DepthSide``
+    of a stack, of which map ``item`` is embedded.
+
+    The depth side (``depth_side``) gives the map's feature stack and, as
+    the pairs need them, its scale weights and its mask under the default
+    gate. The features are encoded, optionally fused across scales and
+    optionally modulated by the mask, then globally average-pooled
+    (``pooled_embeddings`` at pool 1). The encoder and the fusion each run at
+    most once for all pairs; only the modulation, pooling and normalization
+    run per pair. Only fused pairs read ``fusion``.
+    """
+    if not isinstance(depth, DepthSide):
+        depth = depth_side(DepthMap(depth.values[None]), arm_parts, fusion)
+    plain = encoder.forward(Tensor(depth.features[item:item + 1]))
+    if any(fused for fused, _ in arm_parts):
+        fused_features = fuse(plain, scale_branches(plain, fusion),
+                              Tensor(depth.weights[item:item + 1]))
+    if any(masked for _, masked in arm_parts):
+        mask = depth.mask[item]
     embeddings = []
     for fused, masked in arm_parts:
         features = fused_features if fused else plain
@@ -206,6 +242,17 @@ def _arm_parts(arm: str) -> tuple[bool, bool]:
     return arm in ("mgsa", "full"), arm in ("mgsf", "full")
 
 
+def _render_stack(specs, render) -> DepthMap:
+    """One view of every scene as an (n, H, W) stack, each render written
+    into it as it is made; every scene must share one raster size."""
+    first = render(specs[0])[0].values
+    stack = np.empty((len(specs),) + first.shape)
+    stack[0] = first
+    for i, spec in enumerate(specs[1:], 1):
+        stack[i] = render(spec)[0].values
+    return DepthMap(stack)
+
+
 def run_experiment(
     n_scenes: int = 50,
     seed: int = 0,
@@ -217,8 +264,10 @@ def run_experiment(
     Everything — scene content, encoder weights, fusion head — derives from
     ``seed``, so two runs with the same arguments produce identical reports.
     Scene seeds are ``default_rng(seed).integers(0, 2**31 - 1, n_scenes)``,
-    each passed to ``spec_fn`` in order. Each depth map is embedded for all
-    arms at once (``embed``). Runs under the floating-point policy.
+    each passed to ``spec_fn`` in order; every spec must give one raster
+    size. Each view's depth side runs once over the stack of its maps
+    (``depth_side``), and each map is embedded for all arms at once
+    (``embed``). Runs under the floating-point policy.
     """
     if n_scenes < 1:
         raise ValueError("need at least one scene")
@@ -229,13 +278,14 @@ def run_experiment(
         rng = np.random.default_rng(seed)
         scene_seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=n_scenes)]
         specs = [spec_fn(s) for s in scene_seeds]
-        gallery_depths = [render_ortho(spec)[0] for spec in specs]
-        query_depths = [render_oblique(spec)[0] for spec in specs]
         encoder = ToyEncoder.seeded(seed=seed)
         fusion = FusionParams.smoothing(EMBEDDING_DIM, seed=seed)
-        gallery_rows, query_rows = (
-            [embed(d, encoder, arm_parts, fusion) for d in depths]
-            for depths in (gallery_depths, query_depths))
+        rows = []
+        for render in (render_ortho, render_oblique):
+            side = depth_side(_render_stack(specs, render), arm_parts, fusion)
+            rows.append([embed(side, encoder, arm_parts, fusion, i) for i in range(n_scenes)])
+            del side  # so the next view's pass runs without it
+        gallery_rows, query_rows = rows
         reports: dict[str, RetrievalReport] = {}
         for k, arm in enumerate(arms):
             gallery = np.stack([row[k].data for row in gallery_rows])

@@ -127,9 +127,12 @@ def depth_feature_stack(depth: DepthMap, h: int, w: int) -> Array:
     Channel 0 is depth averaged over whole blocks (``h`` and ``w`` must
     divide the raster's sides), channel 1 the magnitude of its dilation-2
     Sobel gradient, channel 2 raw depth at each block's first cell.
-    Shape (1, DEPTH_CHANNELS, h, w).
+    Shape (B, DEPTH_CHANNELS, h, w) for a (B, H, W) stack of maps, in one
+    pass over the stack, and (1, DEPTH_CHANNELS, h, w) for one map.
     """
     pooled = align_depth(depth, h, w)
     gx, gy = macro_gradient(pooled)
-    strided = depth.values[::depth.shape[0] // h, ::depth.shape[1] // w]
-    return np.stack([pooled.values, np.hypot(gx, gy), strided])[None]
+    rows, cols = depth.shape[-2:]
+    strided = depth.values[..., ::rows // h, ::cols // w]
+    return np.stack([pooled.values, np.hypot(gx, gy), strided],
+                    axis=-3).reshape(-1, DEPTH_CHANNELS, h, w)

@@ -16,6 +16,7 @@ normal/cluster machinery is a fixed geometric preprocessor, ``MaskGeometry``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .autodiff import (
     masked_fill,
     mul,
     reshape,
+    select_index,
     sigmoid,
 )
 
@@ -48,15 +50,18 @@ LLOYD_ITERS = 50  # cluster_normals stops earlier once no assignment changes
 
 @dataclass(frozen=True)
 class DepthMap:
-    """A finite 2-d depth raster, at least 3 pixels on each side."""
+    """A finite 2-d depth raster, at least 3 pixels on each side, or a
+    (B, H, W) stack of same-size rasters. Every stage of the mask takes
+    either; a stack runs as one pass that gives each map the floats it gets
+    alone."""
 
     values: Array
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"depth must be 2-d, got shape {arr.shape}")
-        if min(arr.shape) < 3:
+        if arr.ndim not in (2, 3):
+            raise ValueError(f"depth must be 2-d, or a 3-d stack of maps, got shape {arr.shape}")
+        if min(arr.shape[-2:]) < 3:
             raise ValueError(f"depth raster too small: {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("depth must be finite")
@@ -69,26 +74,28 @@ class DepthMap:
 
 @dataclass(frozen=True)
 class NormalField:
-    """Unit surface normals (H, W, 3) with strictly positive z."""
+    """Unit surface normals (H, W, 3), or (B, H, W, 3) for a stack of maps,
+    with strictly positive z."""
 
     normals: Array
 
     def __post_init__(self):
         arr = np.asarray(self.normals, dtype=np.float64)
-        lengths = np.linalg.norm(arr, axis=2)
+        lengths = np.linalg.norm(arr, axis=-1)
         if np.max(np.abs(lengths - 1.0)) > 1e-9:
             raise ValueError("normals must be unit length")
-        if np.min(arr[:, :, 2]) <= 0.0:
+        if np.min(arr[..., 2]) <= 0.0:
             raise ValueError("normal z-components must be positive")
         object.__setattr__(self, "normals", arr)
 
 
 @dataclass(frozen=True)
 class EdgePartition:
-    """Split of the raster into ambiguous edge pixels and flat pixels."""
+    """Split of the raster into ambiguous edge pixels and flat pixels. A
+    stack of maps has a (B, H, W) edge mask and one threshold per map."""
 
     edge_mask: Array
-    threshold: float
+    threshold: float | Array
 
     def __post_init__(self):
         object.__setattr__(self, "edge_mask",
@@ -151,11 +158,19 @@ class GeoMask:
     def shape(self) -> tuple[int, ...]:
         return self.mask.data.shape
 
+    def __getitem__(self, i: int) -> "GeoMask":
+        """Map ``i`` of a (B, H, W) stack, which was checked as a whole."""
+        item = GeoMask.__new__(GeoMask)
+        item.mask = select_index(self.mask, 0, i)
+        return item
+
 
 def align_depth(depth: DepthMap, h: int, w: int) -> DepthMap:
-    """Average raw depth over whole blocks down to the working resolution."""
-    pooled = adaptive_avg_pool(Tensor(depth.values[None, None]), h, w)
-    return DepthMap(pooled.data[0, 0])
+    """Average raw depth over whole blocks down to the working resolution,
+    every map of a stack in one pooling."""
+    values = depth.values
+    pooled = adaptive_avg_pool(Tensor(values.reshape(-1, 1, *values.shape[-2:])), h, w)
+    return DepthMap(pooled.data.reshape(values.shape[:-2] + (h, w)))
 
 
 def macro_gradient(depth: DepthMap, dilation: int = 2) -> tuple[Array, Array]:
@@ -165,15 +180,16 @@ def macro_gradient(depth: DepthMap, dilation: int = 2) -> tuple[Array, Array]:
     ``8 * dilation``; on a linear ramp ``a*x + b*y`` the interior response is
     exactly ``(a, b)``.
     """
-    h, w = depth.shape
+    h, w = depth.shape[-2:]
     if min(h, w) < 2 * dilation + 1:
         raise ValueError(
             f"raster {depth.shape} smaller than the {2 * dilation + 1} pixel stencil"
         )
-    t = Tensor(np.broadcast_to(depth.values, (1, 2, h, w)))
+    values = depth.values.reshape(-1, 1, h, w)
+    t = Tensor(np.broadcast_to(values, (len(values), 2, h, w)))
     stencils = np.stack([SOBEL_X, SOBEL_Y]) * (1.0 / (8.0 * dilation))
-    gx, gy = conv2d(t, Kernel2D(stencils, dilation=dilation)).data[0]
-    return gx, gy
+    out = conv2d(t, Kernel2D(stencils, dilation=dilation)).data
+    return out[:, 0].reshape(depth.shape), out[:, 1].reshape(depth.shape)
 
 
 def compute_normals(gx: Array, gy: Array) -> NormalField:
@@ -184,8 +200,8 @@ def compute_normals(gx: Array, gy: Array) -> NormalField:
     """
     if gx.shape != gy.shape:
         raise ValueError(f"gradient shapes differ: {gx.shape} vs {gy.shape}")
-    stacked = np.stack([-gx, -gy, np.ones_like(gx)], axis=2)
-    norms = np.linalg.norm(stacked, axis=2, keepdims=True)
+    stacked = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
+    norms = np.linalg.norm(stacked, axis=-1, keepdims=True)
     return NormalField(stacked / norms)
 
 
@@ -194,12 +210,15 @@ def partition_edges(gx: Array, gy: Array, cfg: FilterConfig = FilterConfig()) ->
 
     The threshold is the lower-interpolation quantile of the magnitudes;
     membership in the edge set is strict (``> threshold``). Quantile 0 marks
-    every pixel ambiguous.
+    every pixel ambiguous. Each map of a (B, H, W) stack has its own
+    threshold.
     """
     magnitude = np.hypot(gx, gy)
-    tau = (float(np.quantile(magnitude, cfg.edge_quantile, method="lower"))
-           if cfg.edge_quantile else float("-inf"))
-    return EdgePartition(magnitude > tau, tau)
+    per_map = magnitude.reshape(-1, magnitude.shape[-2] * magnitude.shape[-1])
+    tau = (np.quantile(per_map, cfg.edge_quantile, axis=1, method="lower")
+           if cfg.edge_quantile else np.full(len(per_map), -np.inf))
+    edges = magnitude > tau.reshape(magnitude.shape[:-2] + (1, 1))
+    return EdgePartition(edges, float(tau[0]) if magnitude.ndim == 2 else tau)
 
 
 def _kmeans_pp(points: Array, k: int, rng: np.random.Generator) -> Array:
@@ -219,15 +238,23 @@ def _kmeans_pp(points: Array, k: int, rng: np.random.Generator) -> Array:
     return points[chosen].copy()
 
 
-def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Array]:
-    """Lloyd's iteration with seeded k-means++ starts.
+def cluster_normals(points: Array, k: int, seed: int,
+                    n_points: Sequence[int] | None = None) -> tuple[Array, Array, Array]:
+    """Lloyd's iteration with seeded k-means++ starts, for one map's points or
+    for the points of several maps at once.
 
-    Returns ``(centroids, labels, counts)``. Assignment ties go to the lowest
-    cluster index; a cluster that empties keeps its previous centroid. The
-    whole routine is bit-deterministic for fixed inputs and seed.
+    ``points`` is one map's ``(N, 3)`` normals or, with ``n_points``, several
+    maps' normals concatenated in map order, ``n_points[i]`` of them map
+    ``i``'s. Returns ``(centroids, labels, counts)``: ``(k, 3)`` centroids and
+    ``(k,)`` member counts, one of each per map on a leading axis when
+    ``n_points`` is given, and the labels in the order of ``points``.
+    Assignment ties go to the lowest cluster index; a cluster that empties
+    keeps its previous centroid. Each map seeds from its own
+    ``default_rng(seed)`` and gets the floats it gets alone; the routine is
+    bit-deterministic for fixed inputs and seed.
 
     Each step works on the points' coordinate columns, with no ``(N, k, 3)``
-    temporary: row ``m`` of a reused ``(k, N)`` distance buffer is
+    temporary: row ``m`` of a reused distance buffer is
     ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left to right, and each centroid
     coordinate is a ``bincount``-weighted sum in point order over the member
     count. Every distance and centroid is therefore the same float as the
@@ -239,72 +266,124 @@ def cluster_normals(points: Array, k: int, seed: int) -> tuple[Array, Array, Arr
     no masked write: a point moves to row ``m`` only where ``d2[m]`` is
     strictly below every earlier row, and ``m`` exceeds every earlier label,
     so ``max(label, m * closer)`` relabels exactly those points. Distances are
-    finite and non-negative, so this is ``argmin``'s first-minimum rule.
+    non-negative, so this is ``argmin``'s first-minimum rule.
+
+    Several maps share one padded ``(B, N_max)`` layout, each map's
+    centroids broadcast as ``(B, 1)`` columns. A pad point sits at infinity,
+    so no row is ever strictly closer and it keeps label 0, in a ``bincount``
+    bin past every map's: each centroid sums the points it sums alone, in
+    the same order. A step is a function of the labels alone, so a map whose
+    labels repeat stays put while the loop runs on until every map's labels
+    repeat (or ``LLOYD_ITERS``).
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if n < k:
-        raise ValueError(f"cannot form {k} clusters from {n} points")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp(points, k, rng)
-    columns = [np.ascontiguousarray(column) for column in points.T]
-    d2 = np.empty((k, n))
-    term = np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    relabel = np.empty(n, dtype=np.intp)
-    labels = np.zeros(n, dtype=int)
+    lengths = np.array([len(points)] if n_points is None else n_points)
+    if lengths.min() < k:
+        raise ValueError(f"cannot form {k} clusters from {lengths.min()} points")
+    b, n = len(lengths), int(lengths.max())
+    starts = np.cumsum(lengths) - lengths
+    centroids = np.stack([_kmeans_pp(points[s:s + m], k, np.random.default_rng(seed))
+                          for s, m in zip(starts, lengths)])
+    valid = (np.arange(n) < lengths[:, None]).ravel()
+    # Flat (B * N_max,) coordinate columns; each elementwise step runs on
+    # them, and only the centroid subtraction on their (B, N_max) views.
+    # Maps of equal size need no pads: their points are already in place.
+    if valid.all():
+        columns = [np.ascontiguousarray(column) for column in points.T]
+    else:
+        columns = [np.full(b * n, np.inf) for _ in range(3)]
+        for padded, column in zip(columns, points.T):
+            padded[valid] = column
+    grids = [column.reshape(b, n) for column in columns]
+    # Views that follow the in-place centroid updates: each map's coordinate
+    # j of centroid m as a (B, 1) column, and coordinate j of every centroid.
+    at = [[centroids[:, m, j, None] for j in range(3)] for m in range(k)]
+    coordinates = [centroids[:, :, j] for j in range(3)]
+    # Map i's labels count from bin i * k; a lone map needs no offset.
+    offset = np.where(valid, np.repeat(np.arange(b) * k, n), b * k) if b > 1 else None
+    bins = None if offset is None else np.empty_like(offset)
+    d2 = np.empty((k, b * n))
+    d2_grid = d2.reshape(k, b, n)
+    term = np.empty(b * n)
+    term_grid = term.reshape(b, n)
+    closer = np.empty(b * n, dtype=bool)
+    relabel = np.empty(b * n, dtype=np.intp)
+    labels = np.zeros(b * n, dtype=int)
     for _ in range(LLOYD_ITERS):
-        for m, centroid in enumerate(centroids):
+        for m in range(k):
             row = d2[m]
-            np.square(np.subtract(columns[0], centroid[0], out=row), out=row)
-            for column, c in zip(columns[1:], centroid[1:]):
-                row += np.square(np.subtract(column, c, out=term), out=term)
+            np.subtract(grids[0], at[m][0], out=d2_grid[m])
+            np.square(row, out=row)
+            for j in (1, 2):
+                np.subtract(grids[j], at[m][j], out=term_grid)
+                row += np.square(term, out=term)
         best = d2[0]  # becomes the running minimum; d2 is refilled every step
-        new_labels = np.zeros(n, dtype=np.intp)
+        new_labels = np.zeros(b * n, dtype=np.intp)
         for m in range(1, k):
             np.less(d2[m], best, out=closer)  # strict: a tie keeps the lower index
             np.minimum(best, d2[m], out=best)
             np.maximum(new_labels, np.multiply(closer, m, out=relabel), out=new_labels)
-        sizes = np.bincount(new_labels, minlength=k)
-        for j, column in enumerate(columns):
-            np.divide(np.bincount(new_labels, weights=column, minlength=k), sizes,
-                      out=centroids[:, j], where=sizes > 0)
+        flat_bins = new_labels if offset is None else np.add(new_labels, offset, out=bins)
+        sizes = np.bincount(flat_bins, minlength=b * k + 1)[:b * k].reshape(b, k)
+        filled = sizes > 0
+        for column, coordinate in zip(columns, coordinates):
+            sums = np.bincount(flat_bins, weights=column, minlength=b * k + 1)
+            np.divide(sums[:b * k].reshape(b, k), sizes, out=coordinate, where=filled)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    return centroids, labels, sizes
+    if n_points is None:
+        return centroids[0], labels, sizes[0]
+    return centroids, labels[valid], sizes
 
 
 def dominant_normal(field: NormalField, partition: EdgePartition,
                     cfg: FilterConfig = FilterConfig()) -> Array:
-    """Unit normal of the most populous flat-surface cluster.
+    """Unit normal of the most populous flat-surface cluster: a 3-vector, or
+    one per map of a stack.
 
     Ties on cluster size are broken toward the larger z-component, then the
     lower cluster index. With fewer flat pixels than clusters the mean flat
     normal is used instead; with no flat pixels at all the zenith is returned.
+    The maps of a stack that have enough flat pixels are clustered in one
+    ``cluster_normals`` call.
     """
-    flat = field.normals[partition.flat_mask]
-    if len(flat) == 0:
-        return ZENITH.copy()
-    if len(flat) < cfg.clusters:
-        mean = flat.mean(axis=0)
-        return mean / np.linalg.norm(mean)
-    centroids, _, counts = cluster_normals(flat, cfg.clusters, cfg.cluster_seed)
-    best = max(range(cfg.clusters),
-               key=lambda m: (counts[m], centroids[m, 2], -m))
-    winner = centroids[best]
-    return winner / np.linalg.norm(winner)
+    flat_mask = partition.flat_mask.reshape(-1, *partition.edge_mask.shape[-2:])
+    normals = field.normals.reshape(flat_mask.shape + (3,))
+    n_flat = flat_mask.sum(axis=(1, 2))
+    clustered = n_flat >= cfg.clusters
+    out = np.empty((len(n_flat), 3))
+    if clustered.any():
+        points = normals[flat_mask & clustered[:, None, None]]
+        centroids, _, counts = cluster_normals(points, cfg.clusters, cfg.cluster_seed,
+                                               n_flat[clustered])
+        for i, c, sizes in zip(np.flatnonzero(clustered), centroids, counts):
+            best = max(range(cfg.clusters), key=lambda m: (sizes[m], c[m, 2], -m))
+            out[i] = c[best] / np.linalg.norm(c[best])
+    for i in np.flatnonzero(~clustered):
+        flat = normals[i][flat_mask[i]]
+        if len(flat) == 0:
+            out[i] = ZENITH
+        else:
+            mean = flat.mean(axis=0)
+            out[i] = mean / np.linalg.norm(mean)
+    return out.reshape(partition.edge_mask.shape[:-2] + (3,))
 
 
 def normal_consistency(field: NormalField, reference: Array) -> Array:
-    """Cosine agreement of every pixel's normal with a reference direction."""
+    """Cosine agreement of every pixel's normal with a reference direction;
+    in a stack, of each map's normals with that map's own reference."""
     reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape != (3,):
-        raise ValueError(f"reference normal must be a 3-vector, got {reference.shape}")
-    if abs(np.linalg.norm(reference) - 1.0) > 1e-9:
+    if reference.shape != field.normals.shape[:-3] + (3,):
+        raise ValueError(f"reference normal must be a 3-vector per map, got {reference.shape}")
+    if np.any(np.abs(np.linalg.norm(reference, axis=-1) - 1.0) > 1e-9):
         raise ValueError("reference normal must be unit length")
-    return field.normals @ reference
+    maps = field.normals.reshape(-1, *field.normals.shape[-3:])
+    out = np.empty(maps.shape[:-1])
+    for normals, r, cosines in zip(maps, reference.reshape(-1, 3), out):
+        np.matmul(normals, r, out=cosines)
+    return out.reshape(field.normals.shape[:-1])
 
 
 def adaptive_gate(consistency, gate: GateParams = GateParams()) -> Tensor:
@@ -342,11 +421,11 @@ def modulate(features: Tensor, mask: GeoMask) -> Tensor:
 
 @dataclass(frozen=True)
 class MaskGeometry:
-    """The gate-independent part of one depth map's mask, at its own resolution.
+    """The gate-independent part of a depth map's mask, at its own resolution.
 
-    Several same-size maps may share one, each field (and the edge
-    threshold) stacked on a leading axis; ``mask`` then gates them all as one
-    (B, H, W) ``GeoMask``.
+    Built from a (B, H, W) stack of same-size maps, each field (and the edge
+    threshold) is stacked on a leading axis, and ``mask`` gates them all as
+    one (B, H, W) ``GeoMask``. One map is the same pass without the axis.
     """
 
     partition: EdgePartition
@@ -355,7 +434,8 @@ class MaskGeometry:
 
     @classmethod
     def from_depth(cls, depth: DepthMap, cfg: FilterConfig = FilterConfig()) -> "MaskGeometry":
-        """Gradients, normals, edge split, dominant normal and consistency."""
+        """Gradients, normals, edge split, dominant normal and consistency,
+        each stage once for every map of a stack."""
         gx, gy = macro_gradient(depth, cfg.gradient_dilation)
         field = compute_normals(gx, gy)
         partition = partition_edges(gx, gy, cfg)

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from geoalign import retrieval
+from geoalign import retrieval, structure_filter
 from geoalign.autodiff import Tensor, adaptive_avg_pool, l2_normalize, reshape
 from geoalign.retrieval import (
     ARM_FILTER_CONFIG,
@@ -310,7 +310,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("arms", [ARMS, ("base",), ("base", "mgsa"), ("mgsa",),
                                       ("mgsf",), ("full",), ("mgsf", "full")])
     def test_shared_work_runs_once_per_depth_map(self, monkeypatch, arms):
-        calls = {"embed": 0, "forward": 0, "fuse": 0, "mask": 0}
+        # Per map: embed, the encoder and the fusion, and one modulation per
+        # masked arm. Per view, over the stack of its maps: the depth-side
+        # pass (detrend, feature stack, standardization), the scale weights
+        # when an arm is fused and the mask and its geometry when an arm is
+        # masked, and none of them otherwise.
+        calls = dict.fromkeys(("embed", "forward", "fuse", "modulate", "detrend", "features",
+                               "standardize", "weights", "mask", "geometry"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -318,14 +324,46 @@ class TestRunExperiment:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(retrieval, "embed", counted("embed", retrieval.embed))
         monkeypatch.setattr(ToyEncoder, "forward", counted("forward", ToyEncoder.forward))
-        monkeypatch.setattr(retrieval, "fuse", counted("fuse", retrieval.fuse))
-        monkeypatch.setattr(retrieval, "structure_mask",
-                            counted("mask", retrieval.structure_mask))
+        for name, attr in (("embed", "embed"), ("fuse", "fuse"), ("modulate", "modulate"),
+                           ("detrend", "detrend_depth"), ("features", "depth_feature_stack"),
+                           ("standardize", "standardize_stack"), ("weights", "scale_weights"),
+                           ("mask", "structure_mask")):
+            monkeypatch.setattr(retrieval, attr, counted(name, getattr(retrieval, attr)))
+        monkeypatch.setattr(structure_filter, "dominant_normal",
+                            counted("geometry", structure_filter.dominant_normal))
         n = 3
         run_experiment(n_scenes=n, seed=1, arms=arms)
-        assert calls["embed"] == 2 * n
-        assert calls["forward"] == 2 * n
-        assert calls["fuse"] == (2 * n if {"mgsa", "full"} & set(arms) else 0)
-        assert calls["mask"] == (2 * n if {"mgsf", "full"} & set(arms) else 0)
+        fused = bool({"mgsa", "full"} & set(arms))
+        masked = bool({"mgsf", "full"} & set(arms))
+        assert calls == {
+            "embed": 2 * n, "forward": 2 * n, "fuse": 2 * n if fused else 0,
+            "modulate": 2 * n * len({"mgsf", "full"} & set(arms)),
+            "detrend": 2, "features": 2, "standardize": 2, "weights": 2 if fused else 0,
+            "mask": 2 if masked else 0, "geometry": 2 if masked else 0}
+
+    def test_depth_side_of_a_stack_gives_each_map_its_own_bytes(self):
+        enc = ToyEncoder.seeded(seed=2, channels=8)
+        fusion = FusionParams.smoothing(8, seed=2)
+        parts = [retrieval._arm_parts(arm) for arm in ARMS]
+        maps = [render(facade_heavy_spec(seed))[0]
+                for seed in range(3) for render in (render_ortho, render_oblique)]
+        stack = DepthMap(np.stack([depth.values for depth in maps]))
+        detrended = detrend_depth(stack)
+        features = standardize_stack(depth_feature_stack(detrended, *FEATURE_GRID))
+        weights = scale_weights(Tensor(features), fusion).data
+        side = retrieval.depth_side(stack, parts, fusion)
+        assert side.features.tobytes() == features.tobytes()
+        assert side.weights.tobytes() == weights.tobytes()
+        for i, depth in enumerate(maps):
+            alone = detrend_depth(depth)
+            assert detrended.values[i].tobytes() == alone.values.tobytes()
+            alone_features = standardize_stack(depth_feature_stack(alone, *FEATURE_GRID))
+            assert features[i:i + 1].tobytes() == alone_features.tobytes()
+            assert (weights[i:i + 1].tobytes()
+                    == scale_weights(Tensor(alone_features), fusion).data.tobytes())
+            mask = structure_mask(depth, *FEATURE_GRID, ARM_FILTER_CONFIG)
+            assert side.mask.values[i].tobytes() == mask.values.tobytes()
+            for got, want in zip(embed(side, enc, parts, fusion, i),
+                                 embed(depth, enc, parts, fusion)):
+                assert got.data.tobytes() == want.data.tobytes()

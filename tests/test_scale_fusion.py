@@ -89,6 +89,25 @@ class TestScaleBranches:
         with pytest.raises(ValueError, match="4-d"):
             scale_branches(Tensor(np.zeros((4, 4))), identity_fusion(4))
 
+    @pytest.mark.parametrize("branch, dilation", [(0, 2), (1, 4)])
+    def test_branches_are_dilation_2_and_4_correlations(self, branch, dilation):
+        # Hand-built depthwise correlation: tap (u, v) reads the pixel
+        # (u - 1) * dilation rows and (v - 1) * dilation columns away,
+        # clamped to the border.
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(2, 3, 11, 13))
+        params = replace(identity_fusion(3), mid_kernel=rng.normal(size=(3, 3, 3)),
+                         far_kernel=rng.normal(size=(3, 3, 3)))
+        stencils = (params.mid_kernel, params.far_kernel)[branch]
+        want = np.zeros_like(features)
+        for u in range(3):
+            rows = np.clip(np.arange(11) + (u - 1) * dilation, 0, 10)
+            for v in range(3):
+                cols = np.clip(np.arange(13) + (v - 1) * dilation, 0, 12)
+                want += stencils[:, u, v, None, None] * features[:, :, rows][:, :, :, cols]
+        got = scale_branches(Tensor(features), params)[branch].data
+        assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestScaleWeights:
     def test_zero_head_predicts_uniform_thirds(self):
@@ -116,6 +135,21 @@ class TestScaleWeights:
             Tensor(depth_feature_stack(DepthMap(depth.values + 123.0), 8, 8)),
             params).data
         assert np.max(np.abs(base - shifted)) < 1e-9
+
+    def test_centering_is_a_spatial_mean_per_channel(self):
+        # A per-channel constant is centered away; an offset that varies
+        # along the rows, or along the columns, is not.
+        params = FusionParams.smoothing(4, seed=5)
+        stack = random_stack(5).data
+        rng = np.random.default_rng(5)
+        base = scale_weights(Tensor(stack), params).data
+
+        def shifted(shape):
+            return scale_weights(Tensor(stack + rng.normal(0.0, 5.0, shape)), params).data
+
+        assert np.max(np.abs(shifted((1, 3, 1, 1)) - base)) < 1e-9
+        assert np.max(np.abs(shifted((1, 3, 8, 1)) - base)) > 1e-3
+        assert np.max(np.abs(shifted((1, 3, 1, 8)) - base)) > 1e-3
 
     def test_weights_are_convex_coefficients(self):
         for seed in range(10):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoalign.autodiff import Kernel2D, Tape, Tensor, conv2d, mul, sum_all
-from geoalign.scenes import facade_heavy_spec, render_oblique
+from geoalign.scenes import facade_heavy_spec, render_oblique, render_ortho
 from geoalign.structure_filter import (
     SOBEL_X,
     SOBEL_Y,
@@ -592,3 +592,108 @@ class TestFilterFeatures:
         tape.backward(sum_all(mul(out, out)))
         assert gate.gain.grad is not None and gate.gain.grad != 0.0
         assert gate.bias.grad is not None and gate.bias.grad != 0.0
+
+
+def lloyd_steps(points, k, seed):
+    """The step at which ``broadcast_lloyd``'s labels first repeat (or 50)."""
+    return next((t for t in range(1, 50) if np.array_equal(
+        broadcast_lloyd(points, k, seed, t)[1], broadcast_lloyd(points, k, seed, t - 1)[1])), 50)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestStackedPass:
+    """A stack of maps runs as one pass that gives each map the bytes that
+    map gets alone."""
+
+    def test_cluster_normals_gives_each_map_its_own_bytes(self):
+        # Maps of different sizes, so all but the largest are padded: two
+        # sites for three clusters (one cluster empties), identical points
+        # (k-means++ falls back to the lowest unused index), and jittered
+        # sets whose Lloyd loops stop at other steps.
+        sets = [grid_points(3, 5, 2, False, 0), np.tile(ZENITH, (6, 1)),
+                grid_points(3, 200, 12, True, 1), grid_points(3, 60, 6, True, 2),
+                grid_points(3, 40, 12, True, 3)]
+        assert len({lloyd_steps(points, 3, 4) for points in sets}) >= 3
+        centroids, labels, counts = cluster_normals(
+            np.concatenate(sets), 3, seed=4, n_points=[len(p) for p in sets])
+        assert centroids.shape == (5, 3, 3) and counts.shape == (5, 3)
+        start = 0
+        for i, points in enumerate(sets):
+            alone = cluster_normals(points, 3, seed=4)
+            for got, want in zip((centroids[i], labels[start:start + len(points)], counts[i]),
+                                 alone):
+                assert_same_bytes(got, want)
+            start += len(points)
+        assert start == len(labels)
+
+    def test_dominant_normal_takes_each_maps_own_branch(self):
+        # Map 0 has no flat pixel (the zenith), map 1 fewer flat pixels than
+        # clusters (their mean), map 2 sixteen equal normals and map 3 mixed
+        # ones (clusters).
+        rng = np.random.default_rng(3)
+        normals = rng.normal(size=(4, 4, 4, 3))
+        normals[..., 2] = np.abs(normals[..., 2]) + 0.5
+        normals[2] = np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0)
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        edges = np.zeros((4, 4, 4), dtype=bool)
+        edges[0] = True
+        edges[1] = True
+        edges[1, 2, 1:3] = False
+        edges[3, ::2, ::3] = True
+        field, partition = NormalField(normals), EdgePartition(edges, np.zeros(4))
+        cfg = FilterConfig(clusters=3, cluster_seed=5)
+        got = dominant_normal(field, partition, cfg)
+        assert np.array_equal(got[0], ZENITH)
+        for i in range(4):
+            alone = dominant_normal(NormalField(normals[i]), EdgePartition(edges[i], 0.0), cfg)
+            assert_same_bytes(got[i], alone)
+
+    @pytest.mark.parametrize("cfg, grid", [(FilterConfig(gradient_dilation=1, edge_quantile=0.25),
+                                            16),
+                                           (FilterConfig(), 32)])
+    def test_mask_geometry_gives_each_map_its_own_bytes(self, cfg, grid):
+        maps = [render(facade_heavy_spec(seed))[0].values
+                for seed in range(4) for render in (render_ortho, render_oblique)]
+        stack = align_depth(DepthMap(np.stack(maps)), grid, grid)
+        steps = set()
+        geometry = MaskGeometry.from_depth(stack, cfg)
+        mask = geometry.mask().values
+        for i, values in enumerate(maps):
+            depth = align_depth(DepthMap(values), grid, grid)
+            alone = MaskGeometry.from_depth(depth, cfg)
+            assert_same_bytes(geometry.partition.edge_mask[i], alone.partition.edge_mask)
+            assert geometry.partition.threshold[i] == alone.partition.threshold
+            assert_same_bytes(geometry.reference[i], alone.reference)
+            assert_same_bytes(geometry.consistency[i], alone.consistency)
+            assert_same_bytes(mask[i], alone.mask().values)
+            assert_same_bytes(mask[i], structure_mask(DepthMap(values), grid, grid, cfg).values)
+            gx, gy = macro_gradient(depth, cfg.gradient_dilation)
+            flat = compute_normals(gx, gy).normals[alone.partition.flat_mask]
+            steps.add(lloyd_steps(flat, cfg.clusters, cfg.cluster_seed))
+        assert len(steps) >= 2
+
+    def test_mask_geometry_mixes_cluster_and_mean_branches(self):
+        # On 3x3 maps at quantile 0.5, a sloped map keeps 5 flat pixels,
+        # fewer than 9 clusters; a level map keeps all 9, equal, so they
+        # are clustered through k-means++'s all-equal fallback.
+        sloped = np.array([[40.0, 41.5, 43.0], [40.25, 42.0, 44.5], [40.75, 43.25, 46.0]])
+        stack = DepthMap(np.stack([sloped, np.full((3, 3), 40.0), sloped[::-1]]))
+        cfg = FilterConfig(gradient_dilation=1, edge_quantile=0.5, clusters=9)
+        geometry = MaskGeometry.from_depth(stack, cfg)
+        assert geometry.partition.flat_mask.sum(axis=(1, 2)).tolist() == [5, 9, 5]
+        assert np.array_equal(geometry.reference[1], ZENITH)
+        for i, values in enumerate(stack.values):
+            alone = MaskGeometry.from_depth(DepthMap(values), cfg)
+            assert_same_bytes(geometry.reference[i], alone.reference)
+            assert_same_bytes(geometry.mask().values[i], alone.mask().values)
+
+    def test_one_map_of_a_stack_is_a_geomask_of_that_map(self):
+        maps = [render_oblique(facade_heavy_spec(seed))[0].values for seed in range(2)]
+        masks = structure_mask(DepthMap(np.stack(maps)), 16, 16)
+        for i, values in enumerate(maps):
+            assert_same_bytes(masks[i].values, structure_mask(DepthMap(values), 16, 16).values)
