@@ -6,12 +6,14 @@
 #
 # Each tree is a checkout of this repository; its package is imported from
 # <tree>/src. The commands cover the default outputs of every subcommand:
-# synth (README spec, both views), mask (default flags, one non-default set,
-# --k 1, where the k-means assignment loop never runs, --tau-q 0, where
-# every pixel is an edge, and --k 9 on a 3x3 raster whose 5 flat pixels are
-# fewer than the clusters, so the dominant normal is their mean), eval,
-# bench (all arms, and --ablation mgsf, where `embed` builds only some arms)
-# and gradcheck. Because `gradcheck` prints
+# synth (README spec, both views, and the oblique view of the same spec at
+# slope 0 0, which is the ortho render), mask (default flags, one non-default
+# set, --k 1, where the k-means assignment loop never runs, --tau-q 0, where
+# every pixel is an edge, --k 9 on a 3x3 raster whose 5 flat pixels are
+# fewer than the clusters, so the dominant normal is their mean, and a
+# constant 8x8 raster, whose equal normals send k-means++ to its lowest
+# unused index), eval, bench (all arms, and --ablation mgsf, where `embed`
+# builds only some arms) and gradcheck. Because `gradcheck` prints
 # its errors to three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
 # at one scenario each, so the errors must match bit for bit, and
@@ -24,7 +26,8 @@
 # seeds 0-7 in both views. Failing commands (a spec with overlapping boxes, a
 # raster too small, a saturated gate, a stencil past the raster, a depth
 # raster scored as a mask, an --eps too small, one whose probes leave an
-# embedding off unit length, one whose probes overflow, one bench scene)
+# embedding off unit length, one whose probes overflow, a --tol that every
+# check fails, one bench scene)
 # write their stdout, stderr and exit code, so a changed error message fails
 # too; out-of-memory cases are left out, as their text depends on the
 # platform. A valid 96x96 spec with a 48x48 grid of 1x1
@@ -66,6 +69,8 @@ run_commands() {
       'box 6 6 20 20 32.0' 'box 36 10 18 14 25.0' 'box 10 38 16 18 30.0' > city.spec
     python -m geoalign synth city.spec out --view ortho > synth_ortho.txt
     python -m geoalign synth city.spec out --view oblique > synth_oblique.txt
+    sed 's/^slope .*/slope 0 0/' city.spec > level.spec
+    python -m geoalign synth level.spec level --view oblique > synth_level_oblique.txt
     python -m geoalign mask out/oblique.depth.geod out/default > mask_default.txt
     python -m geoalign mask out/oblique.depth.geod out/flags \
       --k 5 --seed 3 --dilation 1 --tau-q 0.5 > mask_flags.txt
@@ -75,6 +80,9 @@ run_commands() {
 sys.stdout.buffer.write(b"GEOD 1 3 3\n" + struct.pack("<9d", 40.0, 41.5, 43.0, 40.25, 42.0,
                                                       44.5, 40.75, 43.25, 46.0))' > tiny.geod
     python -m geoalign mask tiny.geod out/few_flat --dilation 1 --tau-q 0.5 --k 9 > mask_few_flat.txt
+    python -c 'import struct, sys
+sys.stdout.buffer.write(b"GEOD 1 8 8\n" + struct.pack("<64d", *[40.0] * 64))' > constant.geod
+    python -m geoalign mask constant.geod out/constant > mask_constant.txt
     python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
     python -m geoalign bench --scenes 20 --seed 3 --ablation mgsf --out bench_mgsf.csv > /dev/null
@@ -90,6 +98,7 @@ sys.stdout.buffer.write(b"GEOD 1 3 3\n" + struct.pack("<9d", 40.0, 41.5, 43.0, 4
     fail gradcheck_eps_tiny gradcheck --eps 1e-300
     fail gradcheck_eps_huge gradcheck --eps 1e300
     fail gradcheck_eps_overflow gradcheck --eps 1e308
+    fail gradcheck_fail gradcheck --tol 1e-12
     fail bench_one_scene bench --scenes 1
     python -c 'print("ground 40.0\nslope -0.03 0.025\nraster 96 96")
 for i in range(48):

@@ -16,6 +16,9 @@ Conventions that the rest of the package relies on:
   not divide its side is refused,
 * softmax always subtracts the running maximum before exponentiation.
 
+Ops trust the shapes that package code builds and check only what a user
+input can reach; a malformed internal argument fails inside NumPy.
+
 Tensor data is finite. Finiteness is checked where data enters: ``Tensor(data)``,
 ``Tape.leaf`` and the wrapping of raw operands. An op's output is not checked
 again: under the floating-point policy (:func:`float_policy`: overflow,
@@ -82,6 +85,7 @@ class Tape:
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Pullback]] = []
 
     def __len__(self) -> int:
+        """Number of recorded ops, which geobench's tracer reads."""
         return len(self._nodes)
 
     def leaf(self, data) -> Tensor:
@@ -89,8 +93,6 @@ class Tape:
         return Tensor(data, tape=self)
 
     def backward(self, loss: Tensor) -> None:
-        if loss.data.size != 1:
-            raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
         for output, inputs, pullback in reversed(self._nodes):
             g_out = grads.get(id(output))
@@ -223,8 +225,6 @@ def masked_mean(t: Tensor, mask) -> Tensor:
     b = t.data.shape[0]
     sel = np.broadcast_to(np.asarray(mask, dtype=bool), t.data.shape[1:])
     count = int(sel.sum())
-    if count == 0:
-        raise ValueError("masked_mean over an empty selection")
     # A boolean index on the trailing axis returns F-ordered rows, whose row
     # sums add in another order than the 1-d sum of one item's selection.
     picked = np.ascontiguousarray(t.data.reshape(b, -1)[:, sel.ravel()])
@@ -313,31 +313,18 @@ def softmax_over_axis(t: Tensor, axis: int) -> Tensor:
 
 
 class Kernel2D:
-    """Depthwise correlation stencil with integer dilation.
+    """Depthwise correlation stencil with integer dilation ``>= 1``.
 
-    ``weights`` is a ``(C, k, k)`` stack: channel ``c`` of the input is
-    correlated with its own ``k x k`` stencil ``weights[c]``, so the output
-    keeps the input's channel count. One stencil for a one-channel map is a
-    ``(1, k, k)`` stack. A ``(B, C, k, k)`` per-item stack gives batch item
-    ``b`` its own stencils ``weights[b]``: each item's output, and its
+    ``weights`` is a ``(C, k, k)`` stack, ``k`` odd: channel ``c`` of the
+    input is correlated with its own ``k x k`` stencil ``weights[c]``, so the
+    output keeps the input's channel count. One stencil for a one-channel map
+    is a ``(1, k, k)`` stack. A ``(B, C, k, k)`` per-item stack gives batch
+    item ``b`` its own stencils ``weights[b]``: each item's output, and its
     stencils' gradient, are the floats a call on that item alone gives.
     """
 
     def __init__(self, weights, dilation: int = 1):
-        w = _as_tensor(weights)
-        if w.data.ndim not in (3, 4):
-            raise ValueError(
-                f"kernel weights must be a 3-d (C, k, k) stack or a 4-d (B, C, k, k) "
-                f"per-item stack, got shape {w.shape}"
-            )
-        k = w.data.shape[-1]
-        if w.data.shape[-2] != k:
-            raise ValueError(f"kernel must be square, got shape {w.shape}")
-        if k % 2 != 1:
-            raise ValueError(f"kernel size must be odd, got {k}")
-        if dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {dilation}")
-        self.weights = w
+        self.weights = _as_tensor(weights)
         self.dilation = int(dilation)
 
     @property
@@ -359,18 +346,8 @@ def _fold_replicate(gp: Array, pad: int, h: int, w: int) -> Array:
 def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
     """Dilated depthwise cross-correlation over B x C x H x W, clamp-to-edge borders."""
     t = _as_tensor(t)
-    if t.data.ndim != 4:
-        raise ValueError(f"conv2d expects a 4-d tensor, got shape {t.shape}")
     b, c, h, w = t.data.shape
     kw = kernel.weights
-    if kw.data.shape[-3] != c:
-        raise ValueError(
-            f"depthwise kernel carries {kw.data.shape[-3]} channel stencils "
-            f"but the input has {c} channels (shapes {kw.shape} vs {t.shape})"
-        )
-    if kw.data.ndim == 4 and kw.data.shape[0] != b:
-        raise ValueError(f"per-item kernel stack holds {kw.data.shape[0]} items "
-                         f"but the batch has {b} (shapes {kw.shape} vs {t.shape})")
     k, d = kernel.size, kernel.dilation
     pad = (k // 2) * d
     # Replicate padding as a clamped-index gather. One ``take`` per axis
@@ -416,20 +393,8 @@ def channel_project(t: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     a shared parameter's gradient sums over the batch.
     """
     t, weights, bias = _as_tensor(t), _as_tensor(weights), _as_tensor(bias)
-    if t.data.ndim != 4:
-        raise ValueError(f"channel_project expects a 4-d tensor, got shape {t.shape}")
     b, _, h, w = t.data.shape
     c_out, c_in = weights.data.shape[-2:]
-    if t.data.shape[1] != c_in:
-        raise ValueError(
-            f"projection expects {c_in} input channels, got {t.data.shape[1]} "
-            f"(shapes {weights.shape} vs {t.shape})"
-        )
-    if weights.data.ndim == 3 and weights.data.shape[0] != b:
-        raise ValueError(f"per-item weights hold {weights.data.shape[0]} items "
-                         f"but the batch has {b} (shapes {weights.shape} vs {t.shape})")
-    if bias.data.shape not in ((c_out,), (b, c_out)):
-        raise ValueError(f"bias must have shape ({c_out},) or ({b}, {c_out}), got {bias.shape}")
     x = t.data.reshape(b, c_in, h * w)
     out = (weights.data @ x).reshape(b, c_out, h, w) + bias.data.reshape(-1, c_out, 1, 1)
 
@@ -456,8 +421,6 @@ def adaptive_avg_pool(t: Tensor, out_h: int, out_w: int) -> Tensor:
     exactly one block, so the global mean is preserved.
     """
     t = _as_tensor(t)
-    if t.data.ndim != 4:
-        raise ValueError(f"adaptive_avg_pool expects a 4-d tensor, got shape {t.shape}")
     _, _, h, w = t.data.shape
     if out_h < 1 or out_w < 1 or h % out_h or w % out_w:
         raise ValueError(f"adaptive_avg_pool needs an output size that splits the input "
@@ -487,9 +450,6 @@ def row_dot(a: Array, b: Array) -> Array:
 def l2_normalize(t: Tensor) -> Tensor:
     """Scale a vector, or each row of a matrix, to unit Euclidean norm."""
     t = _as_tensor(t)
-    if t.data.ndim not in (1, 2):
-        raise ValueError(f"l2_normalize expects a vector or a matrix of rows, "
-                         f"got shape {t.shape}")
     norm = np.sqrt(row_dot(t.data, t.data))
     if not norm.all():
         raise ValueError("cannot normalize a zero vector")

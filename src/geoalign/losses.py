@@ -79,8 +79,6 @@ def partition_by_quantile(mask, q_high: float = 0.7,
 
 def activation_map(features: Tensor) -> Tensor:
     """Per-pixel mean magnitude across channels, shape (B, 1, H, W)."""
-    if features.data.ndim != 4:
-        raise ValueError(f"features must be 4-d, got shape {features.shape}")
     return mean_over_axis(absolute(features), axis=1)
 
 
@@ -88,15 +86,6 @@ def aggregate_activation(activation: Tensor,
                          partition: ActivationPartition) -> tuple[Tensor, Tensor]:
     """Mean activation over each region, one per item of a (B, 1, H, W) batch
     under one partition; raises on an empty region."""
-    if activation.data.ndim != 4 or activation.data.shape[1] != 1:
-        raise ValueError(
-            f"activation must be (B, 1, H, W), got shape {activation.shape}"
-        )
-    if activation.data.shape[2:] != partition.stable.shape:
-        raise ValueError(
-            f"activation grid {activation.data.shape[2:]} does not match "
-            f"partition {partition.stable.shape}"
-        )
     if partition.n_stable == 0 or partition.n_unstable == 0:
         raise ValueError(
             f"empty partition (stable={partition.n_stable}, "
@@ -143,8 +132,6 @@ def activation_contrast_loss(features: Tensor, mask) -> tuple[Tensor, ContrastRe
 
 
 def _check_unit(name: str, v: Tensor) -> None:
-    if v.data.ndim not in (1, 2):
-        raise ValueError(f"{name} must be a (D,) embedding or (P, D) rows, got shape {v.shape}")
     norms = np.sqrt(row_dot(v.data, v.data))
     off = np.abs(norms - 1.0) > 1e-8
     if off.any():
@@ -160,8 +147,6 @@ def soft_margin_triplet(anchor: Tensor, positive: Tensor, negative: Tensor) -> T
     """
     for name, v in (("anchor", anchor), ("positive", positive), ("negative", negative)):
         _check_unit(name, v)
-    if not anchor.shape == positive.shape == negative.shape:
-        raise ValueError("embeddings must share a shape")
     diff_pos = add(anchor, mul(positive, -1.0))
     diff_neg = add(anchor, mul(negative, -1.0))
     d_pos = sum_all(mul(diff_pos, diff_pos), axis=-1)

@@ -101,16 +101,6 @@ def scale_weights(depth_features: Tensor, params: FusionParams) -> Tensor:
 def fuse(features: Tensor, branches: tuple[Tensor, Tensor], weights: Tensor) -> Tensor:
     """Residual weighted blend over the near (``features``), mid and far
     views: f + sum_s w_s * branch_s."""
-    b, c, h, w = features.data.shape
-    if weights.shape != (b, 3, 1, h, w):
-        raise ValueError(
-            f"weights {weights.shape} do not match features {features.shape}"
-        )
-    for branch in branches:
-        if branch.shape != features.shape:
-            raise ValueError(
-                f"branch {branch.shape} does not match features {features.shape}"
-            )
     out = features
     for s, branch in enumerate((features, *branches)):
         w_s = select_index(weights, axis=1, index=s)  # (B, 1, H, W)

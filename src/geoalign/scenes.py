@@ -184,7 +184,8 @@ def render_ortho(spec: SceneSpec) -> tuple[DepthMap, LabelMap]:
 
 
 def facade_width(height: float, slope: tuple[float, float]) -> int:
-    """Pixel width of a facade strip for a box of this height.
+    """Pixel width of a facade strip for a box of this height under a nonzero
+    slope (``render_oblique`` renders a zero slope without strips).
 
     Proportional to height over tilt magnitude, clamped to keep the strip
     narrow, then shrunk until the roof-to-ground ramp ``height / (width + 1)``
@@ -192,8 +193,6 @@ def facade_width(height: float, slope: tuple[float, float]) -> int:
     steepness floor.
     """
     mag = math.hypot(*slope)
-    if mag == 0.0:
-        raise ValueError("facade width is undefined for a zero slope")
     floor = max(mag, FACADE_RAMP_MIN)
     # The ratio is inf for a tiny tilt or a huge box; ``min`` caps it first.
     width = max(1, round(min(FACADE_WIDTH_COEFF * height / mag, FACADE_WIDTH_MAX)))

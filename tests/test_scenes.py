@@ -252,10 +252,6 @@ class TestFacadeWidth:
         assert facade_width(30.0, (5e-324, 0.0)) == FACADE_WIDTH_MAX
         assert facade_width(1e308, (0.01, 0.0)) == FACADE_WIDTH_MAX
 
-    def test_zero_slope_is_undefined(self):
-        with pytest.raises(ValueError, match="zero slope"):
-            facade_width(10.0, (0.0, 0.0))
-
 
 class TestRenderOblique:
     def test_zero_slope_degenerates_to_ortho_bit_for_bit(self):
