@@ -10,9 +10,11 @@
 # slope 0 0, which is the ortho render), mask (default flags, one non-default
 # set, --k 1, where the k-means assignment loop never runs, --tau-q 0, where
 # every pixel is an edge, --k 9 on a 3x3 raster whose 5 flat pixels are
-# fewer than the clusters, so the dominant normal is their mean, and a
+# fewer than the clusters, so the dominant normal is their mean, a
 # constant 8x8 raster, whose equal normals send k-means++ to its lowest
-# unused index), eval, bench (all arms, and --ablation mgsf, where `embed`
+# unused index, and the oblique render of a 128x128 facade-heavy spec, as
+# `geoalign mask` meets it at native size, at default flags and at --k 300,
+# whose labels need 16 bits), eval, bench (all arms, and --ablation mgsf, where `embed`
 # builds only some arms) and gradcheck. Because `gradcheck` prints
 # its errors to three digits only, gradcheck_hex.txt also lists `group loss
 # max_rel_err.hex() n_evals` for the default battery and for base seeds 0-63
@@ -83,6 +85,15 @@ sys.stdout.buffer.write(b"GEOD 1 3 3\n" + struct.pack("<9d", 40.0, 41.5, 43.0, 4
     python -c 'import struct, sys
 sys.stdout.buffer.write(b"GEOD 1 8 8\n" + struct.pack("<64d", *[40.0] * 64))' > constant.geod
     python -m geoalign mask constant.geod out/constant > mask_constant.txt
+    python -c 'from geoalign.scenes import facade_heavy_spec
+s = facade_heavy_spec(0, raster=(128, 128))
+print(f"ground {s.ground_depth!r}\nslope {s.oblique_slope[0]!r} {s.oblique_slope[1]!r}")
+print(f"raster 128 128\nnoise {s.noise_sigma!r}\nseed {s.rng_seed}")
+for b in s.boxes:
+    print(f"box {b.x} {b.y} {b.w} {b.h} {b.height!r}")' > facade128.spec
+    python -m geoalign synth facade128.spec native --view oblique > synth_native.txt
+    python -m geoalign mask native/oblique.depth.geod out/native > mask_native.txt
+    python -m geoalign mask native/oblique.depth.geod out/native_k300 --k 300 > mask_native_k300.txt
     python -m geoalign eval out/default.mask.geod out/oblique.labels.geol > eval.csv
     python -m geoalign bench --scenes 20 --seed 3 --out bench.csv > /dev/null
     python -m geoalign bench --scenes 20 --seed 3 --ablation mgsf --out bench_mgsf.csv > /dev/null

@@ -67,7 +67,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
-Pullback = Callable[[Array], Sequence[Array]]
+Pullback = Callable[[Array], Sequence[Array | None]]
 
 
 class Tape:
@@ -77,8 +77,10 @@ class Tape:
     the record in exact reverse execution order and accumulates gradients into
     every taped input of a record that the loss reaches, writing each one's
     ``.grad`` as it goes; a constant (untaped) input receives none, and nor
-    does the loss itself. Calling it again overwrites the gradients it
-    reaches.
+    does the loss itself; the pullbacks of ``add``, ``mul``, ``conv2d`` and
+    ``channel_project`` return ``None`` for a constant input rather than
+    compute a cotangent that would be dropped. Calling it again overwrites the
+    gradients it reaches.
     """
 
     def __init__(self):
@@ -141,7 +143,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def pullback(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (None if a.tape is None else _unbroadcast(g, a.data.shape),
+                None if b.tape is None else _unbroadcast(g, b.data.shape))
 
     return _emit((a, b), out, pullback)
 
@@ -151,7 +154,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def pullback(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (None if a.tape is None else _unbroadcast(g * b.data, a.data.shape),
+                None if b.tape is None else _unbroadcast(g * a.data, b.data.shape))
 
     return _emit((a, b), out, pullback)
 
@@ -372,13 +376,19 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
             out += coeff[:, :, u, v] * tap(u, v)
 
     def pullback(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(kw.data)
-        for u in range(k):
-            for v in range(k):
-                gw[..., u, v] = np.einsum(spec, g, tap(u, v))
-                gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff[:, :, u, v] * g
-        return _fold_replicate(gxp, pad, h, w), gw
+        gx = gw = None
+        if t.tape is not None:
+            gxp = np.zeros_like(xp)
+            for u in range(k):
+                for v in range(k):
+                    gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff[:, :, u, v] * g
+            gx = _fold_replicate(gxp, pad, h, w)
+        if kw.tape is not None:
+            gw = np.zeros_like(kw.data)
+            for u in range(k):
+                for v in range(k):
+                    gw[..., u, v] = np.einsum(spec, g, tap(u, v))
+        return gx, gw
 
     return _emit((t, kw), out, pullback)
 
@@ -400,10 +410,16 @@ def channel_project(t: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     def pullback(g):
         g = g.reshape(b, c_out, h * w)
-        gx = (np.swapaxes(weights.data, -1, -2) @ g).reshape(b, c_in, h, w)
-        gw = g @ x.transpose(0, 2, 1)
-        return (gx, gw if weights.data.ndim == 3 else gw.sum(axis=0),
-                g.sum(axis=2) if bias.data.ndim == 2 else g.sum(axis=(0, 2)))
+        gx = gw = gb = None
+        if t.tape is not None:
+            gx = (np.swapaxes(weights.data, -1, -2) @ g).reshape(b, c_in, h, w)
+        if weights.tape is not None:
+            gw = g @ x.transpose(0, 2, 1)
+            if weights.data.ndim == 2:
+                gw = gw.sum(axis=0)
+        if bias.tape is not None:
+            gb = g.sum(axis=2) if bias.data.ndim == 2 else g.sum(axis=(0, 2))
+        return gx, gw, gb
 
     return _emit((t, weights, bias), out, pullback)
 

@@ -81,10 +81,13 @@ class NormalField:
 
     def __post_init__(self):
         arr = np.asarray(self.normals, dtype=np.float64)
-        lengths = np.linalg.norm(arr, axis=-1)
+        # The norm on the coordinate columns, summed left to right: the
+        # floats of ``np.linalg.norm(arr, axis=-1)``.
+        x, y, z = np.moveaxis(arr, -1, 0)
+        lengths = np.sqrt(x * x + y * y + z * z)
         if np.max(np.abs(lengths - 1.0)) > 1e-9:
             raise ValueError("normals must be unit length")
-        if np.min(arr[..., 2]) <= 0.0:
+        if np.min(z) <= 0.0:
             raise ValueError("normal z-components must be positive")
         object.__setattr__(self, "normals", arr)
 
@@ -196,11 +199,16 @@ def compute_normals(gx: Array, gy: Array) -> NormalField:
     """Lift depth slopes to unit surface normals ``[-gx, -gy, 1] / norm``.
 
     The z-component is always positive and the denominator at least one, so
-    the field is defined everywhere.
+    the field is defined everywhere. The denominator is ``gx² + gy² + 1``
+    summed left to right on the slope arrays, under a square root: the floats
+    of ``np.linalg.norm`` along the stacked vectors' last axis. Each
+    coordinate is divided by it straight into its column of the field.
     """
-    stacked = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
-    norms = np.linalg.norm(stacked, axis=-1, keepdims=True)
-    return NormalField(stacked / norms)
+    norms = np.sqrt(gx * gx + gy * gy + 1.0)
+    normals = np.empty(norms.shape + (3,))
+    for j, numerator in enumerate((-gx, -gy, 1.0)):
+        np.divide(numerator, norms, out=normals[..., j])
+    return NormalField(normals)
 
 
 def partition_edges(gx: Array, gy: Array, cfg: FilterConfig = FilterConfig()) -> EdgePartition:
@@ -219,12 +227,26 @@ def partition_edges(gx: Array, gy: Array, cfg: FilterConfig = FilterConfig()) ->
     return EdgePartition(edges, float(tau[0]) if magnitude.ndim == 2 else tau)
 
 
-def _kmeans_pp(points: Array, k: int, rng: np.random.Generator) -> Array:
-    """k-means++ seeding; degenerate (all-equal) distances fall back to the
-    lowest unused index so the routine stays deterministic."""
-    n = points.shape[0]
+def _kmeans_pp(columns: Array, k: int, rng: np.random.Generator) -> Array:
+    """k-means++ seeding on a map's ``(3, N)`` coordinate columns; degenerate
+    (all-equal) distances fall back to the lowest unused index so the routine
+    stays deterministic. Returns the ``(k, 3)`` seed points.
+
+    A squared distance is ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left to
+    right across the columns: the float of the ``(N, 3)`` points' axis sum,
+    without that sum's pass over a 3-wide axis.
+    """
+    n = columns.shape[1]
+    diff = np.empty_like(columns)
+
+    def d2_to(i: int) -> Array:
+        np.square(np.subtract(columns, columns[:, i, None], out=diff), out=diff)
+        d2 = diff[0] + diff[1]
+        d2 += diff[2]
+        return d2
+
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = d2_to(chosen[0])
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -232,8 +254,8 @@ def _kmeans_pp(points: Array, k: int, rng: np.random.Generator) -> Array:
         else:
             pick = int(rng.choice(n, p=d2 / total))
         chosen.append(pick)
-        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+        np.minimum(d2, d2_to(pick), out=d2)
+    return columns[:, chosen].T.copy()
 
 
 def cluster_normals(points: Array, k: int, seed: int,
@@ -250,85 +272,98 @@ def cluster_normals(points: Array, k: int, seed: int,
     ``default_rng(seed)`` and gets the floats it gets alone; the routine is
     bit-deterministic for fixed inputs and seed.
 
-    Each step works on the points' coordinate columns, with no ``(N, k, 3)``
-    temporary: row ``m`` of a reused distance buffer is
-    ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left to right, and each centroid
-    coordinate is a ``bincount``-weighted sum in point order over the member
-    count. Every distance and centroid is therefore the same float as the
-    broadcast form's axis sum and member mean. (The expanded form
-    ``|x|² - 2x·c + |c|²`` is not: it rounds differently and can flip an
-    assignment on a near-tie.)
+    Each step's distances work on the points' coordinate columns, with no
+    ``(N, k, 3)`` temporary: row ``m`` of a reused distance buffer is
+    ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left to right, the float of the
+    broadcast form's axis sum. (The expanded form ``|x|² - 2x·c + |c|²`` is
+    not: it rounds differently and can flip an assignment on a near-tie.)
 
     The assignment is a running minimum over the rows with no ``argmin`` and
     no masked write: a point moves to row ``m`` only where ``d2[m]`` is
     strictly below every earlier row, and ``m`` exceeds every earlier label,
     so ``max(label, m * closer)`` relabels exactly those points. Distances are
-    non-negative, so this is ``argmin``'s first-minimum rule.
+    non-negative, so this is ``argmin``'s first-minimum rule. Labels are held
+    in the narrowest unsigned dtype that holds ``k - 1``.
+
+    The centroids are one ``bincount`` over the interleaved coordinates, in
+    which point ``p``'s coordinate ``j`` carries key ``3 * bin + j``: each
+    centroid coordinate is its members' sum in point order, the float of a
+    per-coordinate ``bincount`` or a member mean, over the member count. Only
+    the points whose label moved get new keys, and the member counts change
+    only by theirs. A step is a function of the labels alone, so a step after
+    the first whose labels repeat would write the same centroids, and the
+    loop stops before it. Step 0 compares its labels with the all-zero start;
+    if they repeat it, its update still runs once, and the loop stops there.
 
     Several maps share one padded ``(B, N_max)`` layout, each map's
-    centroids broadcast as ``(B, 1)`` columns. A pad point sits at infinity,
-    so no row is ever strictly closer and it keeps label 0, in a ``bincount``
-    bin past every map's: each centroid sums the points it sums alone, in
-    the same order. A step is a function of the labels alone, so a map whose
-    labels repeat stays put while the loop runs on until every map's labels
-    repeat (or ``LLOYD_ITERS``).
+    centroids broadcast as ``(3, B, 1)`` columns. A pad point sits at infinity,
+    so no row is ever strictly closer and it keeps label 0, in a bin past
+    every map's: each centroid sums the points it sums alone, in the same
+    order. A map whose labels repeat stays put while the loop runs on until
+    every map's labels repeat (or ``LLOYD_ITERS``).
     """
     points = np.asarray(points, dtype=np.float64)
     lengths = np.array(n_points)
     b, n = len(lengths), int(lengths.max())
-    starts = np.cumsum(lengths) - lengths
-    centroids = np.stack([_kmeans_pp(points[s:s + m], k, np.random.default_rng(seed))
-                          for s, m in zip(starts, lengths)])
     valid = (np.arange(n) < lengths[:, None]).ravel()
-    # Flat (B * N_max,) coordinate columns; each elementwise step runs on
-    # them, and only the centroid subtraction on their (B, N_max) views.
     # Maps of equal size need no pads: their points are already in place.
     if valid.all():
-        columns = [np.ascontiguousarray(column) for column in points.T]
+        padded = points
     else:
-        columns = [np.full(b * n, np.inf) for _ in range(3)]
-        for padded, column in zip(columns, points.T):
-            padded[valid] = column
-    grids = [column.reshape(b, n) for column in columns]
-    # Views that follow the in-place centroid updates: each map's coordinate
-    # j of centroid m as a (B, 1) column, and coordinate j of every centroid.
-    at = [[centroids[:, m, j, None] for j in range(3)] for m in range(k)]
-    coordinates = [centroids[:, :, j] for j in range(3)]
-    # Map i's labels count from bin i * k; a lone map needs no offset.
-    offset = np.where(valid, np.repeat(np.arange(b) * k, n), b * k) if b > 1 else None
-    bins = None if offset is None else np.empty_like(offset)
+        padded = np.full((b * n, 3), np.inf)
+        padded[valid] = points
+    # The coordinate columns, one (B, N_max) grid each.
+    grids = np.ascontiguousarray(padded.T).reshape(3, b, n)
+    centroids = np.stack([_kmeans_pp(grids[:, i, :m], k, np.random.default_rng(seed))
+                          for i, m in enumerate(lengths)])
+    # Views that follow the in-place centroid updates: centroid m's
+    # coordinates as a (3, B, 1) column per coordinate and map.
+    at = [centroids[:, m].T[:, :, None] for m in range(k)]
+    # Map i's labels count from bin i * k, pads sit in bin b * k; a lone map
+    # needs no offset, but an intp zero still widens its labels before they
+    # are scaled to keys. Every label starts at 0, so every map's points at
+    # its first bin.
+    offset = np.where(valid, np.repeat(np.arange(b) * k, n), b * k) if b > 1 else np.intp(0)
+    lanes = np.arange(3)
+    keys = 3 * np.reshape(offset, (-1, 1)) + np.broadcast_to(lanes, (b * n, 3))
+    weights = padded.ravel()
+    sizes = np.zeros(b * k, dtype=np.intp)  # member counts, bin by bin
+    sizes[::k] = lengths
     d2 = np.empty((k, b * n))
     d2_grid = d2.reshape(k, b, n)
-    term = np.empty(b * n)
-    term_grid = term.reshape(b, n)
+    diff = np.empty_like(grids)
     closer = np.empty(b * n, dtype=bool)
-    relabel = np.empty(b * n, dtype=np.intp)
-    labels = np.zeros(b * n, dtype=int)
-    for _ in range(LLOYD_ITERS):
+    label_type = np.min_scalar_type(k - 1)
+    labels = np.zeros(b * n, dtype=label_type)
+    new_labels = np.empty_like(labels)
+    relabel = np.empty_like(labels)
+    for step in range(LLOYD_ITERS):
         for m in range(k):
-            row = d2[m]
-            np.subtract(grids[0], at[m][0], out=d2_grid[m])
-            np.square(row, out=row)
-            for j in (1, 2):
-                np.subtract(grids[j], at[m][j], out=term_grid)
-                row += np.square(term, out=term)
+            np.square(np.subtract(grids, at[m], out=diff), out=diff)
+            np.add(diff[0], diff[1], out=d2_grid[m])
+            d2_grid[m] += diff[2]
         best = d2[0]  # becomes the running minimum; d2 is refilled every step
-        new_labels = np.zeros(b * n, dtype=np.intp)
+        new_labels.fill(0)
         for m in range(1, k):
             np.less(d2[m], best, out=closer)  # strict: a tie keeps the lower index
             np.minimum(best, d2[m], out=best)
-            np.maximum(new_labels, np.multiply(closer, m, out=relabel), out=new_labels)
-        flat_bins = new_labels if offset is None else np.add(new_labels, offset, out=bins)
-        sizes = np.bincount(flat_bins, minlength=b * k + 1)[:b * k].reshape(b, k)
-        filled = sizes > 0
-        for column, coordinate in zip(columns, coordinates):
-            sums = np.bincount(flat_bins, weights=column, minlength=b * k + 1)
-            np.divide(sums[:b * k].reshape(b, k), sizes, out=coordinate, where=filled)
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-    return centroids, labels[valid], sizes
+            np.maximum(new_labels, np.multiply(closer, label_type.type(m), out=relabel),
+                       out=new_labels)
+        moved = np.flatnonzero(new_labels != labels)
+        if step and not len(moved):
+            break  # the update would write the same centroids
+        if len(moved):
+            shift = offset if b == 1 else offset[moved]
+            was, now = labels[moved] + shift, new_labels[moved] + shift
+            sizes += np.bincount(now, minlength=b * k) - np.bincount(was, minlength=b * k)
+            keys[moved] = 3 * now[:, None] + lanes
+        labels, new_labels = new_labels, labels
+        sums = np.bincount(keys.ravel(), weights=weights, minlength=3 * (b * k + 1))
+        np.divide(sums[:3 * b * k].reshape(b, k, 3), sizes.reshape(b, k, 1), out=centroids,
+                  where=sizes.reshape(b, k, 1) > 0)
+        if not len(moved):
+            break  # step 0 left every label at 0: the update runs once, then stops
+    return centroids, labels[valid].astype(np.intp), sizes.reshape(b, k)
 
 
 def dominant_normal(field: NormalField, partition: EdgePartition,

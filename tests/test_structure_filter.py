@@ -40,8 +40,6 @@ from geoalign.structure_filter import (
 
 def filter_features(features, depth, gate=GateParams(), cfg=FilterConfig()):
     """Mask at the feature grid, then modulate: the retrieval arms' masking step."""
-    if features.data.ndim != 4:
-        raise ValueError(f"features must be 4-d, got shape {features.shape}")
     mask = MaskGeometry.from_depth(align_depth(depth, *features.data.shape[2:]), cfg).mask(gate)
     return modulate(features, mask), mask
 
@@ -229,10 +227,27 @@ class TestClustering:
             assert np.array_equal(x, y)
 
 
+def broadcast_kmeans_pp(points, k, rng):
+    """k-means++ seeding with ``(N, 3)`` broadcast distances summed along the
+    coordinate axis: the reference for the column-wise ``_kmeans_pp``."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            pick = next(i for i in range(n) if i not in chosen)
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        chosen.append(pick)
+        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
 def broadcast_lloyd(points, k, seed, iters=50):
     """The Lloyd loop as an ``(N, k, 3)`` broadcast with a per-cluster member
     mean: the reference the column-wise step must reproduce bit for bit."""
-    centroids = _kmeans_pp(points, k, np.random.default_rng(seed))
+    centroids = broadcast_kmeans_pp(points, k, np.random.default_rng(seed))
     labels = np.zeros(len(points), dtype=int)
     for _ in range(iters):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -553,11 +568,6 @@ class TestFilterFeatures:
         _, mask = filter_features(Tensor(np.ones((1, 2, 8, 8))), depth)
         assert mask.shape == (8, 8)
 
-    def test_rejects_non_4d_features(self):
-        with pytest.raises(ValueError, match="4-d"):
-            filter_features(Tensor(np.ones((8, 8))),
-                            DepthMap(np.full((32, 32), 40.0)))
-
     def test_gradient_flows_through_gate_parameters(self):
         tape = Tape()
         gate = GateParams(gain=tape.leaf(5.0), bias=tape.leaf(-2.5))
@@ -673,3 +683,132 @@ class TestStackedPass:
         masks = structure_mask(DepthMap(np.stack(maps)), 16, 16)
         for i, values in enumerate(maps):
             assert_same_bytes(masks[i].values, structure_mask(DepthMap(values), 16, 16).values)
+
+
+def per_coordinate_lloyd(points, k, seed, n_points):
+    """The padded Lloyd loop with one count ``bincount`` and three weighted
+    per-coordinate ``bincount``s a step, an ``intp`` label per point, an
+    ``array_equal`` stop test after each update and ``broadcast_kmeans_pp``
+    seeds: the reference for the interleaved-key loop of ``cluster_normals``."""
+    lengths = np.array(n_points)
+    b, n = len(lengths), int(lengths.max())
+    starts = np.cumsum(lengths) - lengths
+    centroids = np.stack([broadcast_kmeans_pp(points[s:s + m], k, np.random.default_rng(seed))
+                          for s, m in zip(starts, lengths)])
+    valid = (np.arange(n) < lengths[:, None]).ravel()
+    columns = [np.full(b * n, np.inf) for _ in range(3)]
+    for padded, column in zip(columns, points.T):
+        padded[valid] = column
+    grids = [column.reshape(b, n) for column in columns]
+    offset = np.where(valid, np.repeat(np.arange(b) * k, n), b * k)
+    labels = np.zeros(b * n, dtype=np.intp)
+    for _ in range(50):
+        d2 = np.empty((k, b * n))
+        for m in range(k):
+            row = (grids[0] - centroids[:, m, 0, None]) ** 2
+            for j in (1, 2):
+                row += (grids[j] - centroids[:, m, j, None]) ** 2
+            d2[m] = row.ravel()
+        best = d2[0].copy()
+        new_labels = np.zeros(b * n, dtype=np.intp)
+        for m in range(1, k):
+            closer = d2[m] < best
+            best = np.minimum(best, d2[m])
+            new_labels = np.maximum(new_labels, closer * m)
+        bins = new_labels + offset
+        sizes = np.bincount(bins, minlength=b * k + 1)[:b * k].reshape(b, k)
+        for j, column in enumerate(columns):
+            sums = np.bincount(bins, weights=column, minlength=b * k + 1)[:b * k].reshape(b, k)
+            np.divide(sums, sizes, out=centroids[:, :, j], where=sizes > 0)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return centroids, labels[valid], sizes
+
+
+def norm_normals(gx, gy):
+    """``[-gx, -gy, 1]`` stacked on a last axis over its ``np.linalg.norm``:
+    the reference for the column-wise ``compute_normals``."""
+    stacked = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
+    return stacked / np.linalg.norm(stacked, axis=-1, keepdims=True)
+
+
+def render_flat_normals(seed, raster=(128, 128)):
+    """The flat normals of a facade-heavy oblique render, as ``geoalign mask``
+    clusters them, and the render's gradients."""
+    depth, _ = render_oblique(facade_heavy_spec(seed, raster=raster))
+    gx, gy = macro_gradient(depth, FilterConfig().gradient_dilation)
+    return compute_normals(gx, gy).normals[partition_edges(gx, gy).flat_mask], gx, gy
+
+
+def assert_matches_per_coordinate_lloyd(points, k, seed, n_points):
+    got = cluster_normals(points, k, seed, n_points)
+    for g, w in zip(got, per_coordinate_lloyd(points, k, seed, n_points)):
+        assert_same_bytes(g, w)
+    return got
+
+
+class TestInterleavedLloyd:
+    """Interleaved-key centroid sums, moved-point updates, narrow labels and
+    coordinate-column distances and normals, against the per-coordinate,
+    broadcast and ``np.linalg.norm`` forms they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_128px_render_with_one_dominant_cluster(self, seed):
+        flat, gx, gy = render_flat_normals(seed)
+        assert flat[:, 2].min() > 0.999  # every flat normal within 3 degrees of the zenith
+        assert_same_bytes(compute_normals(gx, gy).normals, norm_normals(gx, gy))
+        assert_same_bytes(_kmeans_pp(flat.T.copy(), 3, np.random.default_rng(seed)),
+                          broadcast_kmeans_pp(flat, 3, np.random.default_rng(seed)))
+        assert_matches_per_coordinate_lloyd(flat, 3, 0, [len(flat)])
+
+    def test_stacked_normals_match_the_norm_form(self):
+        rng = np.random.default_rng(8)
+        gx, gy = rng.normal(size=(2, 3, 9, 7)) * [[[[0.01]]], [[[40.0]]]]
+        assert_same_bytes(compute_normals(gx, gy).normals, norm_normals(gx, gy))
+
+    def test_ragged_maps_with_pads(self):
+        flat = render_flat_normals(1, raster=(64, 64))[0]
+        sets = [flat, grid_points(3, 5, 2, False, 0), np.tile(ZENITH, (6, 1)),
+                grid_points(3, 200, 12, True, 1), flat[::3]]
+        n_points = [len(p) for p in sets]
+        assert len(set(n_points)) == len(sets)
+        assert_matches_per_coordinate_lloyd(np.concatenate(sets), 3, 4, n_points)
+
+    def test_one_cluster(self):
+        points = grid_points(1, 300, 9, True, 6)
+        centroids, labels, counts = assert_matches_per_coordinate_lloyd(points, 1, 2, [301])
+        assert counts.tolist() == [[301]] and not labels.any()
+
+    @pytest.mark.parametrize("n_points", [[1400], [700, 700]])
+    def test_257_clusters_take_16_bit_labels(self, n_points):
+        assert np.min_scalar_type(256) == np.uint16 and np.min_scalar_type(255) == np.uint8
+        points = np.random.default_rng(9).normal(size=(1400, 3))
+        _, labels, _ = assert_matches_per_coordinate_lloyd(points, 257, 1, n_points)
+        assert labels.max() == 256
+
+    def test_256_clusters_of_one_map_take_8_bit_labels(self):
+        # Label 255 has key 765 in an 8-bit label's range of 0-255.
+        points = np.random.default_rng(10).normal(size=(1000, 3))
+        _, labels, _ = assert_matches_per_coordinate_lloyd(points, 256, 2, [1000])
+        assert labels.max() == 255
+
+    def test_all_equal_points_take_the_fallback_seeds(self):
+        points = np.tile([0.6, 0.0, 0.8], (9, 1))
+        assert_same_bytes(_kmeans_pp(points.T.copy(), 4, np.random.default_rng(3)),
+                          broadcast_kmeans_pp(points, 4, np.random.default_rng(3)))
+        sets = [points, grid_points(4, 30, 5, True, 2)]
+        assert_matches_per_coordinate_lloyd(np.concatenate(sets), 4, 3, [9, 34])
+
+    def test_labels_that_repeat_at_step_zero_still_update_once(self):
+        # Every point ties with every seed, so step 0 keeps label 0 for all.
+        # The member mean of three copies of 0.1 is not 0.1: the centroid must
+        # be that mean, and the loop must stop there, though the seeds that
+        # stay on 0.1 are now strictly closer.
+        points = np.tile([0.1, 0.1, 0.1], (3, 1))
+        assert points.sum(axis=0)[0] / 3 != 0.1
+        centroids, labels, counts = assert_matches_per_coordinate_lloyd(points, 2, 0, [3])
+        assert_same_bytes(centroids[0, 0], points.sum(axis=0) / 3)
+        assert_same_bytes(centroids[0, 1], points[0])
+        assert counts.tolist() == [[3, 0]] and not labels.any()
