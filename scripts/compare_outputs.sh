@@ -25,7 +25,11 @@
 # shows the pooled forward paths only through ranks, so pooled_hex.txt lists
 # the SHA-256 of depth_feature_stack at 16x16 and 8x8, align_depth at 8x8,
 # the arms' 16x16 structure_mask and embed's four arm embeddings, for scene
-# seeds 0-7 in both views. Failing commands (a spec with overlapping boxes, a
+# seeds 0-7 in both views, and of MaskGeometry.from_depth's reference and
+# consistency for one 64x64 stack of noise-free renders (scene seeds 0-11,
+# both views) at the default FilterConfig, the arms' and clusters=5 with
+# edge_quantile=0.5: without noise the maps' flat-pixel counts differ, so
+# k-means runs once per count. Failing commands (a spec with overlapping boxes, a
 # raster too small, a saturated gate, a stencil past the raster, a depth
 # raster scored as a mask, an --eps too small, one whose probes leave an
 # embedding off unit length, one whose probes overflow, a --tol that every
@@ -143,16 +147,21 @@ for k, eps in enumerate(steps):
     print(k % 5, repr(eps), result)
 PY
     python - > pooled_hex.txt <<'PY'
+from dataclasses import replace
 from hashlib import sha256
 
+import numpy as np
+
 from geoalign.retrieval import (ARM_FILTER_CONFIG, ARMS, EMBEDDING_DIM, ToyEncoder,
-                                _arm_parts, embed)
+                                _arm_parts, depth_side, embed)
 from geoalign.scale_fusion import FusionParams, depth_feature_stack
 from geoalign.scenes import facade_heavy_spec, render_oblique, render_ortho
-from geoalign.structure_filter import align_depth, structure_mask
+from geoalign.structure_filter import (DepthMap, FilterConfig, MaskGeometry, align_depth,
+                                       structure_mask)
 
 encoder = ToyEncoder.seeded(seed=0)
 fusion = FusionParams.smoothing(EMBEDDING_DIM, seed=0)
+parts = [_arm_parts(arm) for arm in ARMS]
 for seed in range(8):
     for view, render in (("ortho", render_ortho), ("oblique", render_oblique)):
         d = render(facade_heavy_spec(seed))[0]
@@ -160,10 +169,19 @@ for seed in range(8):
                   "stack8": depth_feature_stack(d, 8, 8),
                   "align8": align_depth(d, 8, 8).values,
                   "mask16": structure_mask(d, 16, 16, cfg=ARM_FILTER_CONFIG).values}
-        arms = embed(d, encoder, [_arm_parts(arm) for arm in ARMS], fusion)
+        arms = embed(depth_side(DepthMap(d.values[None]), parts, fusion), encoder, parts,
+                     fusion, 0)
         arrays.update((f"embed_{arm}", e.data) for arm, e in zip(ARMS, arms))
         for name, a in arrays.items():
             print(seed, view, name, a.shape, sha256(a.tobytes()).hexdigest())
+stack = DepthMap(np.stack([render(replace(facade_heavy_spec(seed), noise_sigma=0.0))[0].values
+                           for seed in range(12) for render in (render_ortho, render_oblique)]))
+for label, cfg in (("default", FilterConfig()), ("arm", ARM_FILTER_CONFIG),
+                   ("k5q50", FilterConfig(clusters=5, edge_quantile=0.5))):
+    geometry = MaskGeometry.from_depth(stack, cfg)
+    for name in ("reference", "consistency"):
+        a = getattr(geometry, name)
+        print("noise-free", label, name, a.shape, sha256(a.tobytes()).hexdigest())
 PY
   )
 }

@@ -275,12 +275,12 @@ def _probe_losses(scenario: _Scenario, probed: list[tuple[str, int]],
     then by ``-eps``. Raises, naming the step size and the group, the error
     that the first failing probe raises on its own: its shift is lost to
     rounding, or it overflows the forward pass."""
-    probes: dict[str, list[Array]] = {}
+    probes: list[tuple[str, Array]] = []
     for (group, idx), step in product(probed, (eps, -eps)):
         base = scenario.params[group]
         arr = base.copy()
         arr.flat[idx] += step
-        probes.setdefault(group, []).append(arr)
+        probes.append((group, arr))
         if arr.flat[idx] == base.flat[idx]:
             # Below the coordinate's float spacing: the finite difference
             # would read 0 whatever the gradient. A probe before it that
@@ -291,29 +291,24 @@ def _probe_losses(scenario: _Scenario, probed: list[tuple[str, int]],
     return _run_probes(scenario, probes, eps)
 
 
-def _run_probes(scenario: _Scenario, probes: dict[str, list[Array]],
+def _run_probes(scenario: _Scenario, probes: list[tuple[str, Array]],
                 eps: float) -> dict[str, list[float]]:
-    """The three losses with each group of ``probes`` set to each of its
-    arrays, in order, in one ``_losses`` batch."""
+    """The three losses with each ``(group, array)`` of ``probes`` set in
+    turn, in one ``_losses`` batch."""
     # A step that overflows the forward pass surfaces as a degenerate value,
     # or as an invalid operation on an overflowed (non-finite) tensor.
     try:
         with np.errstate(over="ignore"):
-            values, _ = _losses([{**scenario.params, group: arr}
-                                 for group, arrays in probes.items() for arr in arrays], scenario)
+            values, _ = _losses([{**scenario.params, group: arr} for group, arr in probes],
+                                scenario)
     except (ValueError, FloatingPointError) as exc:
         # The batch stops at its first failing op, which need not be its
-        # first failing probe's: run each group's probes, in order, then each
-        # probe of a lone group alone, so that the first to fail names the error.
-        (group, arrays), *later = probes.items()
-        if later:
-            for each_group, each_arrays in probes.items():
-                _run_probes(scenario, {each_group: each_arrays}, eps)
-        elif len(arrays) > 1:
-            for arr in arrays:
-                _run_probes(scenario, {group: [arr]}, eps)
+        # first failing probe's: run each probe but the last alone, in order,
+        # so that the first to fail names the error; else the last one did.
+        for probe in probes[:-1]:
+            _run_probes(scenario, [probe], eps)
         reason = exc if isinstance(exc, ValueError) else NOT_FINITE
-        raise ValueError(f"step size {eps} is too large for the {group} probes "
+        raise ValueError(f"step size {eps} is too large for the {probes[-1][0]} probes "
                          f"({reason})") from None
     return {name: values[name].data.tolist() for name in LOSS_NAMES}
 

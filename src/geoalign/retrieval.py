@@ -163,29 +163,25 @@ def depth_side(depths: DepthMap, arm_parts: Sequence[tuple[bool, bool]],
     return DepthSide(features, weights, mask)
 
 
-def embed(depth: DepthMap | DepthSide, encoder: ToyEncoder,
-          arm_parts: Sequence[tuple[bool, bool]], fusion: FusionParams,
-          item: int = 0) -> list[Tensor]:
-    """Unit-norm embeddings of one depth map, one per (uses fusion, uses mask)
-    pair in ``arm_parts``. ``depth`` is the map itself, or the ``DepthSide``
-    of a stack, of which map ``item`` is embedded.
+def embed(side: DepthSide, encoder: ToyEncoder, arm_parts: Sequence[tuple[bool, bool]],
+          fusion: FusionParams, item: int) -> list[Tensor]:
+    """Unit-norm embeddings of map ``item`` of a stack, one per (uses
+    fusion, uses mask) pair in ``arm_parts``.
 
-    The depth side (``depth_side``) gives the map's feature stack and, as
-    the pairs need them, its scale weights and its mask under the default
-    gate. The features are encoded, optionally fused across scales and
-    optionally modulated by the mask, then globally average-pooled
+    The stack's depth side (``depth_side``) gives the map's feature stack
+    and, as the pairs need them, its scale weights and its mask under the
+    default gate. The features are encoded, optionally fused across scales
+    and optionally modulated by the mask, then globally average-pooled
     (``pooled_embeddings`` at pool 1). The encoder and the fusion each run at
     most once for all pairs; only the modulation, pooling and normalization
     run per pair. Only fused pairs read ``fusion``.
     """
-    if not isinstance(depth, DepthSide):
-        depth = depth_side(DepthMap(depth.values[None]), arm_parts, fusion)
-    plain = encoder.forward(Tensor(depth.features[item:item + 1]))
+    plain = encoder.forward(Tensor(side.features[item:item + 1]))
     if any(fused for fused, _ in arm_parts):
         fused_features = fuse(plain, scale_branches(plain, fusion),
-                              Tensor(depth.weights[item:item + 1]))
+                              Tensor(side.weights[item:item + 1]))
     if any(masked for _, masked in arm_parts):
-        mask = depth.mask[item]
+        mask = side.mask[item]
     embeddings = []
     for fused, masked in arm_parts:
         features = fused_features if fused else plain

@@ -16,7 +16,6 @@ normal/cluster machinery is a fixed geometric preprocessor, ``MaskGeometry``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -157,10 +156,6 @@ class GeoMask:
     def values(self) -> Array:
         return self.mask.data
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.mask.data.shape
-
     def __getitem__(self, i: int) -> "GeoMask":
         """Map ``i`` of a (B, H, W) stack, which was checked as a whole."""
         item = GeoMask.__new__(GeoMask)
@@ -258,25 +253,25 @@ def _kmeans_pp(columns: Array, k: int, rng: np.random.Generator) -> Array:
     return columns[:, chosen].T.copy()
 
 
-def cluster_normals(points: Array, k: int, seed: int,
-                    n_points: Sequence[int]) -> tuple[Array, Array, Array]:
-    """Lloyd's iteration with seeded k-means++ starts, for the points of one
-    or several maps at once.
+def cluster_normals(points: Array, k: int, seed: int, b: int) -> tuple[Array, Array]:
+    """Lloyd's iteration with seeded k-means++ starts, for the points of
+    ``b`` maps of equal size at once.
 
     ``points`` is the maps' ``(N, 3)`` normals concatenated in map order,
-    ``n_points[i]`` of them map ``i``'s, each at least ``k``. Returns
-    ``(centroids, labels, counts)``: ``(B, k, 3)`` centroids and ``(B, k)``
-    member counts, one of each per map, and the labels in the order of
-    ``points``. Assignment ties go to the lowest cluster index; a cluster
-    that empties keeps its previous centroid. Each map seeds from its own
-    ``default_rng(seed)`` and gets the floats it gets alone; the routine is
-    bit-deterministic for fixed inputs and seed.
+    ``N / b`` of them each map's, at least ``k``. Returns
+    ``(centroids, counts)``: ``(b, k, 3)`` centroids and ``(b, k)`` member
+    counts, one of each per map. Assignment ties go to the lowest cluster
+    index; a cluster that empties keeps its previous centroid. Each map seeds
+    from its own ``default_rng(seed)`` and gets the floats it gets alone; the
+    routine is bit-deterministic for fixed inputs and seed.
 
-    Each step's distances work on the points' coordinate columns, with no
-    ``(N, k, 3)`` temporary: row ``m`` of a reused distance buffer is
-    ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left to right, the float of the
-    broadcast form's axis sum. (The expanded form ``|x|² - 2x·c + |c|²`` is
-    not: it rounds differently and can flip an assignment on a near-tie.)
+    Each step's distances work on the points' coordinate columns, one
+    ``(b, N / b)`` grid each, with each map's centroids broadcast as
+    ``(3, b, 1)`` columns and no ``(N, k, 3)`` temporary: row ``m`` of a
+    reused distance buffer is ``(x0-c0)² + (x1-c1)² + (x2-c2)²`` added left
+    to right, the float of the broadcast form's axis sum. (The expanded form
+    ``|x|² - 2x·c + |c|²`` is not: it rounds differently and can flip an
+    assignment on a near-tie.)
 
     The assignment is a running minimum over the rows with no ``argmin`` and
     no masked write: a point moves to row ``m`` only where ``d2[m]`` is
@@ -286,49 +281,34 @@ def cluster_normals(points: Array, k: int, seed: int,
     in the narrowest unsigned dtype that holds ``k - 1``.
 
     The centroids are one ``bincount`` over the interleaved coordinates, in
-    which point ``p``'s coordinate ``j`` carries key ``3 * bin + j``: each
-    centroid coordinate is its members' sum in point order, the float of a
-    per-coordinate ``bincount`` or a member mean, over the member count. Only
-    the points whose label moved get new keys, and the member counts change
-    only by theirs. A step is a function of the labels alone, so a step after
-    the first whose labels repeat would write the same centroids, and the
-    loop stops before it. Step 0 compares its labels with the all-zero start;
-    if they repeat it, its update still runs once, and the loop stops there.
-
-    Several maps share one padded ``(B, N_max)`` layout, each map's
-    centroids broadcast as ``(3, B, 1)`` columns. A pad point sits at infinity,
-    so no row is ever strictly closer and it keeps label 0, in a bin past
-    every map's: each centroid sums the points it sums alone, in the same
-    order. A map whose labels repeat stays put while the loop runs on until
-    every map's labels repeat (or ``LLOYD_ITERS``).
+    which point ``p``'s coordinate ``j`` carries key ``3 * bin + j``, map
+    ``i``'s labels counting from bin ``i * k``: each centroid coordinate is
+    its members' sum in point order, the float of a per-coordinate
+    ``bincount`` or a member mean, over the member count. Only the points
+    whose label moved get new keys, and the member counts change only by
+    theirs. A step is a function of the labels alone, so a step after the
+    first whose labels repeat would write the same centroids, and the loop
+    stops before it. Step 0 compares its labels with the all-zero start; if
+    they repeat it, its update still runs once, and the loop stops there. A
+    map whose labels repeat stays put while the loop runs on until every
+    map's labels repeat (or ``LLOYD_ITERS``).
     """
-    points = np.asarray(points, dtype=np.float64)
-    lengths = np.array(n_points)
-    b, n = len(lengths), int(lengths.max())
-    valid = (np.arange(n) < lengths[:, None]).ravel()
-    # Maps of equal size need no pads: their points are already in place.
-    if valid.all():
-        padded = points
-    else:
-        padded = np.full((b * n, 3), np.inf)
-        padded[valid] = points
-    # The coordinate columns, one (B, N_max) grid each.
-    grids = np.ascontiguousarray(padded.T).reshape(3, b, n)
-    centroids = np.stack([_kmeans_pp(grids[:, i, :m], k, np.random.default_rng(seed))
-                          for i, m in enumerate(lengths)])
+    n = len(points) // b
+    grids = np.ascontiguousarray(points.T).reshape(3, b, n)
+    centroids = np.stack([_kmeans_pp(grids[:, i], k, np.random.default_rng(seed))
+                          for i in range(b)])
     # Views that follow the in-place centroid updates: centroid m's
     # coordinates as a (3, B, 1) column per coordinate and map.
     at = [centroids[:, m].T[:, :, None] for m in range(k)]
-    # Map i's labels count from bin i * k, pads sit in bin b * k; a lone map
-    # needs no offset, but an intp zero still widens its labels before they
-    # are scaled to keys. Every label starts at 0, so every map's points at
-    # its first bin.
-    offset = np.where(valid, np.repeat(np.arange(b) * k, n), b * k) if b > 1 else np.intp(0)
+    # A lone map needs no bin offset, but an intp zero still widens its
+    # labels before they are scaled to keys. Every label starts at 0, so
+    # every map's points at its first bin.
+    offset = np.repeat(np.arange(b) * k, n) if b > 1 else np.intp(0)
     lanes = np.arange(3)
     keys = 3 * np.reshape(offset, (-1, 1)) + np.broadcast_to(lanes, (b * n, 3))
-    weights = padded.ravel()
+    weights = points.ravel()
     sizes = np.zeros(b * k, dtype=np.intp)  # member counts, bin by bin
-    sizes[::k] = lengths
+    sizes[::k] = n
     d2 = np.empty((k, b * n))
     d2_grid = d2.reshape(k, b, n)
     diff = np.empty_like(grids)
@@ -358,12 +338,12 @@ def cluster_normals(points: Array, k: int, seed: int,
             sizes += np.bincount(now, minlength=b * k) - np.bincount(was, minlength=b * k)
             keys[moved] = 3 * now[:, None] + lanes
         labels, new_labels = new_labels, labels
-        sums = np.bincount(keys.ravel(), weights=weights, minlength=3 * (b * k + 1))
-        np.divide(sums[:3 * b * k].reshape(b, k, 3), sizes.reshape(b, k, 1), out=centroids,
+        sums = np.bincount(keys.ravel(), weights=weights, minlength=3 * b * k)
+        np.divide(sums.reshape(b, k, 3), sizes.reshape(b, k, 1), out=centroids,
                   where=sizes.reshape(b, k, 1) > 0)
         if not len(moved):
             break  # step 0 left every label at 0: the update runs once, then stops
-    return centroids, labels[valid].astype(np.intp), sizes.reshape(b, k)
+    return centroids, sizes.reshape(b, k)
 
 
 def dominant_normal(field: NormalField, partition: EdgePartition,
@@ -375,18 +355,19 @@ def dominant_normal(field: NormalField, partition: EdgePartition,
     lower cluster index. With fewer flat pixels than clusters the mean flat
     normal is used instead; with no flat pixels at all the zenith is returned.
     The maps of a stack that have enough flat pixels are clustered in one
-    ``cluster_normals`` call.
+    ``cluster_normals`` call per flat-pixel count, each map getting the
+    floats it gets alone.
     """
     flat_mask = partition.flat_mask.reshape(-1, *partition.edge_mask.shape[-2:])
     normals = field.normals.reshape(flat_mask.shape + (3,))
     n_flat = flat_mask.sum(axis=(1, 2))
     clustered = n_flat >= cfg.clusters
     out = np.empty((len(n_flat), 3))
-    if clustered.any():
-        points = normals[flat_mask & clustered[:, None, None]]
-        centroids, _, counts = cluster_normals(points, cfg.clusters, cfg.cluster_seed,
-                                               n_flat[clustered])
-        for i, c, sizes in zip(np.flatnonzero(clustered), centroids, counts):
+    for count in set(n_flat[clustered].tolist()):
+        group = n_flat == count
+        centroids, counts = cluster_normals(normals[flat_mask & group[:, None, None]],
+                                            cfg.clusters, cfg.cluster_seed, int(group.sum()))
+        for i, c, sizes in zip(np.flatnonzero(group), centroids, counts):
             best = max(range(cfg.clusters), key=lambda m: (sizes[m], c[m, 2], -m))
             out[i] = c[best] / np.linalg.norm(c[best])
     for i in np.flatnonzero(~clustered):

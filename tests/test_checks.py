@@ -100,15 +100,15 @@ class TestRunGradientChecks:
         prefix = r"^step size 1e\+300 is too large for the mid_kernel probes "
         with float_policy():
             with pytest.raises(ValueError, match=prefix + r"\(tensor data must be finite\)$"):
-                checks._run_probes(scenario, {"mid_kernel": probes[2:]}, 1e300)
+                checks._run_probes(scenario, [("mid_kernel", probes[2])], 1e300)
             with pytest.raises(ValueError, match=prefix + r"\(anchor must be unit length, "
                                                           r"got norm 0\.0\)$"):
-                checks._run_probes(scenario, {"mid_kernel": probes}, 1e300)
+                checks._run_probes(scenario, [("mid_kernel", arr) for arr in probes], 1e300)
 
     def test_a_failing_batch_names_its_first_failing_group(self):
         scenario = _build_scenario(int(np.random.default_rng(0).integers(0, 2**31 - 1)))
-        probes = {group: [scenario.params[group].copy()] for group in ("mid_kernel", "gate_gain")}
-        for (arr,) in probes.values():
+        probes = [(group, scenario.params[group].copy()) for group in ("mid_kernel", "gate_gain")]
+        for _, arr in probes:
             arr.flat[0] += 1e300
         # Alone, the mid_kernel probe fails at the triplet's unit-length check
         # and the later group's gate_gain probe earlier, at the mask's range
@@ -117,7 +117,7 @@ class TestRunGradientChecks:
         with float_policy():
             with pytest.raises(ValueError, match=prefix + r"gate_gain probes \(mask values must "
                                                           r"lie strictly inside \(0, 1\)\)$"):
-                checks._run_probes(scenario, {"gate_gain": probes["gate_gain"]}, 1e300)
+                checks._run_probes(scenario, probes[1:], 1e300)
             with pytest.raises(ValueError, match=prefix + r"mid_kernel probes \(anchor must be "
                                                           r"unit length, got norm 0\.0\)$"):
                 checks._run_probes(scenario, probes, 1e300)

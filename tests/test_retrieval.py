@@ -53,11 +53,17 @@ def arm_inputs(arm, channels, seed=0):
     return FusionParams.smoothing(channels, seed=seed) if fused else None, masked
 
 
+def embed_alone(depth, encoder, arm_parts, fusion):
+    """``embed`` of one map, through the depth side of a stack of one."""
+    side = retrieval.depth_side(DepthMap(depth.values[None]), arm_parts, fusion)
+    return embed(side, encoder, arm_parts, fusion, 0)
+
+
 def embed_arm(depth, encoder, fusion=None, masked=False):
     """``embed`` for the one arm that uses exactly the given fusion (none for
     ``None``) and mask. An unfused arm passes a fusion that it never reads."""
     used = FusionParams.smoothing(encoder.pw1.shape[0]) if fusion is None else fusion
-    return embed(depth, encoder, [(fusion is not None, masked)], used)[0]
+    return embed_alone(depth, encoder, [(fusion is not None, masked)], used)[0]
 
 
 def embed_one_arm(depth, encoder, fusion=None, masked=False):
@@ -182,7 +188,7 @@ class TestEmbed:
         for seed in range(3):
             spec = facade_heavy_spec(seed)
             for depth in (render_ortho(spec)[0], render_oblique(spec)[0]):
-                shared = embed(depth, enc, parts, fusion)
+                shared = embed_alone(depth, enc, parts, fusion)
                 for arm, e in zip(ARMS, shared):
                     f, m = arm_inputs(arm, 16, seed=1)
                     alone = embed_arm(depth, enc, fusion=f, masked=m).data.tobytes()
@@ -365,5 +371,5 @@ class TestRunExperiment:
             mask = structure_mask(depth, *FEATURE_GRID, ARM_FILTER_CONFIG)
             assert side.mask.values[i].tobytes() == mask.values.tobytes()
             for got, want in zip(embed(side, enc, parts, fusion, i),
-                                 embed(depth, enc, parts, fusion)):
+                                 embed_alone(depth, enc, parts, fusion)):
                 assert got.data.tobytes() == want.data.tobytes()
