@@ -21,7 +21,11 @@
 # at one scenario each, so the errors must match bit for bit, and
 # gradcheck_eps.txt lists, for 33 step sizes from 1e-330 to 3.7e306 (the
 # k-th at base seed k % 5, two scenarios), every error's hex or the error
-# text, so the order in which bad steps are blamed must match too. bench's CSV
+# text, so the order in which bad steps are blamed must match too. Those rows
+# show the per-probe losses only through each group's worst error, so
+# probe_hex.txt lists the float.hex of every loss that checks._probe_losses
+# returns at step 1e-5 for scenarios built from seeds 0-7, with the
+# coordinates drawn as run_gradient_checks draws them. bench's CSV
 # shows the pooled forward paths only through ranks, so pooled_hex.txt lists
 # the SHA-256 of depth_feature_stack at 16x16 and 8x8, align_depth at 8x8,
 # the arms' 16x16 structure_mask and embed's four arm embeddings, for scene
@@ -145,6 +149,24 @@ for k, eps in enumerate(steps):
     except ValueError as exc:
         result = f"error: {exc}"
     print(k % 5, repr(eps), result)
+PY
+    python - > probe_hex.txt <<'PY'
+import numpy as np
+
+from geoalign.autodiff import float_policy
+from geoalign.checks import PARAM_GROUPS, _build_scenario, _probe_losses
+
+with float_policy():
+    for seed in range(8):
+        scenario = _build_scenario(seed)
+        coord_rng = np.random.default_rng(seed + 1)
+        probed = []
+        for group in PARAM_GROUPS:
+            size = scenario.params[group].size
+            probed += [(group, int(i))
+                       for i in coord_rng.choice(size, size=min(3, size), replace=False)]
+        for name, values in _probe_losses(scenario, probed, 1e-5).items():
+            print(seed, name, " ".join(v.hex() for v in values))
 PY
     python - > pooled_hex.txt <<'PY'
 from dataclasses import replace

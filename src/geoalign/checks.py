@@ -51,7 +51,6 @@ from .scale_fusion import (
 from .scenes import facade_heavy_spec, render_oblique, render_ortho
 from .structure_filter import (
     DepthMap,
-    EdgePartition,
     GateParams,
     GeoMask,
     MaskGeometry,
@@ -152,21 +151,10 @@ def _tiled(t: Tensor, n: int) -> Tensor:
     return t if n == 1 else Tensor(np.concatenate([t.data] * n))
 
 
-def _tiled_geometry(geometry: MaskGeometry, n: int) -> MaskGeometry:
-    """``geometry``'s stacked maps repeated ``n`` times; once is ``geometry`` itself."""
-    if n == 1:
-        return geometry
-    partition = geometry.partition
-    return MaskGeometry(EdgePartition(np.concatenate([partition.edge_mask] * n),
-                                      np.concatenate([partition.threshold] * n)),
-                        np.concatenate([geometry.reference] * n),
-                        np.concatenate([geometry.consistency] * n))
-
-
 def _parts(param_sets: list[dict], scenario: _Scenario) -> dict[str, tuple[Tensor, ...]]:
     """The parts of every set, keyed like ``_PART_GROUPS``, each a batch of 3P
     maps in set order: the features, the mid and far branches, the scale
-    weights and the gate values.
+    weights and the gate values (shaped (P, 3, h, w) when several sets run the gate).
 
     A part runs once, over the sets that change a group it reads (every set,
     while the scenario has no base parts); the other sets take the scenario's
@@ -181,12 +169,10 @@ def _parts(param_sets: list[dict], scenario: _Scenario) -> dict[str, tuple[Tenso
     def per_map(picked: list[int], group: str) -> Array | Tensor:
         """``group``'s parameters for the maps of the sets ``picked``: a lone
         set's own array (or tape leaf), shared by its three maps; else a
-        per-item stack, each set's array repeated once per map (a gate scalar
-        as a (1, 1) map)."""
+        per-item stack, each set's array repeated once per map."""
         if len(picked) == 1:
             return param_sets[picked[0]][group]
-        arrays = [param_sets[k][group] for k in picked]
-        return np.repeat(np.stack([a.reshape(a.shape or (1, 1)) for a in arrays]), 3, axis=0)
+        return np.repeat(np.stack([param_sets[k][group] for k in picked]), 3, axis=0)
 
     def fusion(picked: list[int]) -> FusionParams:
         return FusionParams(*(per_map(picked, g) for g in
@@ -207,8 +193,13 @@ def _parts(param_sets: list[dict], scenario: _Scenario) -> dict[str, tuple[Tenso
         return (scale_weights(_tiled(scenario.stack, len(picked)), fusion(picked)),)
 
     def gate_values(picked: list[int]) -> tuple[Tensor, ...]:
-        gate = GateParams(per_map(picked, "gate_gain"), per_map(picked, "gate_bias"))
-        return (_tiled_geometry(scenario.geometry, len(picked)).mask(gate).mask,)
+        """One gating of the scenario's geometry: by a lone set's own scalars
+        (or tape leaves), else by (P, 1, 1, 1) stacks of the sets' gains and
+        biases, which broadcast over the (3, h, w) consistency."""
+        gain, bias = (param_sets[picked[0]][g] if len(picked) == 1
+                      else np.stack([param_sets[k][g] for k in picked]).reshape(-1, 1, 1, 1)
+                      for g in ("gate_gain", "gate_bias"))
+        return (scenario.geometry.mask(GateParams(gain, bias)).mask,)
 
     parts: dict[str, tuple[Tensor, ...]] = {}
     for name, run in (("features", features), ("branches", branches),
@@ -244,8 +235,7 @@ def _losses(param_sets: list[dict],
     parts = _parts(param_sets, scenario)
     (features,), (mid, far), (weights,), (mask,) = (
         parts[name] for name in ("features", "branches", "weights", "mask"))
-    edges = np.concatenate([scenario.geometry.partition.edge_mask] * p)
-    features = modulate(fuse(features, (mid, far), weights), GeoMask(mask, edges))
+    features = modulate(fuse(features, (mid, far), weights), GeoMask(mask))
     embeddings = reshape(pooled_embeddings(features, _POOL), (p, 3, -1))
     anchor_features = select_index(reshape(features, (p, 3, *features.shape[1:])), 1, 0)
     contrast, reports = contrast_loss(anchor_features, scenario.contrast_partition,

@@ -207,18 +207,14 @@ def true_rank(order: Array, target: int) -> int:
 
 
 def recall_at_k(ranks, k: int) -> float:
-    ranks = np.asarray(ranks)
-    if ranks.size == 0:
-        raise ValueError("no ranks to score")
-    return float((ranks <= k).mean())
+    """The share of the ranks, which must be non-empty, that are at most ``k``."""
+    return float((np.asarray(ranks) <= k).mean())
 
 
 def mean_average_precision(ranks) -> float:
-    """With one relevant item per query, AP reduces to reciprocal rank."""
-    ranks = np.asarray(ranks, dtype=np.float64)
-    if ranks.size == 0:
-        raise ValueError("no ranks to score")
-    return float((1.0 / ranks).mean())
+    """With one relevant item per query, AP reduces to reciprocal rank. The
+    ranks must be non-empty."""
+    return float((1.0 / np.asarray(ranks, dtype=np.float64)).mean())
 
 
 @dataclass(frozen=True)

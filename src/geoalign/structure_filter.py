@@ -141,15 +141,13 @@ class FilterConfig:
 
 
 class GeoMask:
-    """Per-pixel geometric attention in (0, 1), exactly 0.5 on edge pixels:
-    one (H, W) map, or (B, H, W) maps stacked."""
+    """Per-pixel geometric attention strictly inside (0, 1): one (H, W) map,
+    or maps stacked on leading axes. ``rectify_edges`` sets its edge pixels to
+    the neutral 0.5."""
 
-    def __init__(self, mask: Tensor, edge_mask: Array):
-        edge_mask = np.asarray(edge_mask, dtype=bool)
+    def __init__(self, mask: Tensor):
         if np.min(mask.data) <= 0.0 or np.max(mask.data) >= 1.0:
             raise ValueError("mask values must lie strictly inside (0, 1)")
-        if edge_mask.any() and not np.all(mask.data[edge_mask] == 0.5):
-            raise ValueError("edge pixels must carry the neutral value 0.5")
         self.mask = mask
 
     @property
@@ -157,10 +155,8 @@ class GeoMask:
         return self.mask.data
 
     def __getitem__(self, i: int) -> "GeoMask":
-        """Map ``i`` of a (B, H, W) stack, which was checked as a whole."""
-        item = GeoMask.__new__(GeoMask)
-        item.mask = select_index(self.mask, 0, i)
-        return item
+        """Map ``i`` of a (B, H, W) stack."""
+        return GeoMask(select_index(self.mask, 0, i))
 
 
 def align_depth(depth: DepthMap, h: int, w: int) -> DepthMap:
@@ -397,8 +393,7 @@ def adaptive_gate(consistency, gate: GateParams = GateParams()) -> Tensor:
 
 def rectify_edges(raw_mask: Tensor, partition: EdgePartition) -> GeoMask:
     """Reset ambiguous edge pixels to the neutral attention value 0.5."""
-    return GeoMask(masked_fill(raw_mask, partition.edge_mask, 0.5),
-                   partition.edge_mask)
+    return GeoMask(masked_fill(raw_mask, partition.edge_mask, 0.5))
 
 
 def modulate(features: Tensor, mask: GeoMask) -> Tensor:

@@ -431,21 +431,15 @@ class TestRectifyAndGeoMask:
         assert np.all(out.values[edge == False] == 0.8)  # noqa: E712
 
     def test_geomask_enforces_open_interval(self):
-        edge = np.zeros((2, 2), dtype=bool)
         with pytest.raises(ValueError, match="strictly inside"):
-            GeoMask(Tensor(np.array([[0.0, 0.5], [0.5, 0.5]])), edge)
+            GeoMask(Tensor(np.array([[0.0, 0.5], [0.5, 0.5]])))
         with pytest.raises(ValueError, match="strictly inside"):
-            GeoMask(Tensor(np.array([[1.0, 0.5], [0.5, 0.5]])), edge)
-
-    def test_geomask_enforces_neutral_edges(self):
-        edge = np.array([[True, False], [False, False]])
-        with pytest.raises(ValueError, match="neutral"):
-            GeoMask(Tensor(np.full((2, 2), 0.7)), edge)
+            GeoMask(Tensor(np.array([[1.0, 0.5], [0.5, 0.5]])))
 
 
 class TestModulate:
     def neutral_mask(self, h, w):
-        return GeoMask(Tensor(np.full((h, w), 0.5)), np.zeros((h, w), dtype=bool))
+        return GeoMask(Tensor(np.full((h, w), 0.5)))
 
     def test_neutral_mask_scales_by_one_and_a_half(self):
         rng = np.random.default_rng(8)
@@ -455,7 +449,7 @@ class TestModulate:
 
     def test_gate_values_amplify_unit_features(self):
         vals = np.array([[sigma(2.5), sigma(5.0 / math.sqrt(26.0) - 2.5)]])
-        mask = GeoMask(Tensor(vals), np.zeros((1, 2), dtype=bool))
+        mask = GeoMask(Tensor(vals))
         out = modulate(Tensor(np.ones((1, 1, 1, 2))), mask)
         assert abs(out.data[0, 0, 0, 0] - 1.9241) < 1e-4
         assert abs(out.data[0, 0, 0, 1] - 1.1795) < 1e-4
@@ -464,8 +458,7 @@ class TestModulate:
         for seed in range(5):
             rng = np.random.default_rng(30 + seed)
             f = rng.normal(size=(1, 2, 6, 6))
-            mask = GeoMask(Tensor(rng.uniform(0.01, 0.99, size=(6, 6))),
-                           np.zeros((6, 6), dtype=bool))
+            mask = GeoMask(Tensor(rng.uniform(0.01, 0.99, size=(6, 6))))
             out = modulate(Tensor(f), mask).data
             assert np.all(np.abs(out) >= np.abs(f))
             assert np.all(np.abs(out) <= 2.0 * np.abs(f))
@@ -475,20 +468,19 @@ class TestModulate:
         rng = np.random.default_rng(31)
         f = rng.normal(size=(2, 3, 4, 4))
         m = rng.uniform(0.01, 0.99, size=(4, 4))
-        out = modulate(Tensor(f), GeoMask(Tensor(m), np.zeros((4, 4), dtype=bool)))
+        out = modulate(Tensor(f), GeoMask(Tensor(m)))
         assert out.data.tobytes() == (f * (m[None, None] + 1.0)).tobytes()
 
     def test_stacked_maps_modulate_their_own_batch_items(self):
         rng = np.random.default_rng(32)
         f = rng.normal(size=(3, 2, 4, 4))
         maps = rng.uniform(0.01, 0.99, size=(3, 4, 4))
-        edges = maps > 0.8
-        maps[edges] = 0.5
+        maps[maps > 0.8] = 0.5
         tape = Tape()
         leaf = tape.leaf(maps)
-        out = modulate(Tensor(f), GeoMask(leaf, edges))
+        out = modulate(Tensor(f), GeoMask(leaf))
         for i in range(3):
-            alone = modulate(Tensor(f[i:i + 1]), GeoMask(Tensor(maps[i]), edges[i]))
+            alone = modulate(Tensor(f[i:i + 1]), GeoMask(Tensor(maps[i])))
             assert out.data[i:i + 1].tobytes() == alone.data.tobytes()
         tape.backward(sum_all(out))
         assert np.allclose(leaf.grad, f.sum(axis=1), rtol=0.0, atol=1e-14)
