@@ -33,7 +33,14 @@
 # consistency for one 64x64 stack of noise-free renders (scene seeds 0-11,
 # both views) at the default FilterConfig, the arms' and clusters=5 with
 # edge_quantile=0.5: without noise the maps' flat-pixel counts differ, so
-# k-means runs once per count. Failing commands (a spec with overlapping boxes, a
+# k-means runs once per count. Those commands tape a convolution only where
+# channels do not outnumber columns, so conv_hex.txt lists the SHA-256 of
+# conv2d's output and of its input and kernel gradients (taped, under a
+# random upstream gradient) at the shapes the workloads run, both buffer
+# layouts included: (1, 64, 16, 16) at dilations 1, 2 and 4, (1, 3, 16, 16),
+# (3, 4, 8, 8), a (72, 4, 8, 8) per-item stack at dilation 4, the broadcast
+# (1, 2, 128, 128) Sobel input at dilation 2 and a (2, 9, 3, 2) raster at
+# k = 5, dilation 3, narrower than its padding. Failing commands (a spec with overlapping boxes, a
 # raster too small, a saturated gate, a stencil past the raster, a depth
 # raster scored as a mask, an --eps too small, one whose probes leave an
 # embedding off unit length, one whose probes overflow, a --tol that every
@@ -204,6 +211,30 @@ for label, cfg in (("default", FilterConfig()), ("arm", ARM_FILTER_CONFIG),
     for name in ("reference", "consistency"):
         a = getattr(geometry, name)
         print("noise-free", label, name, a.shape, sha256(a.tobytes()).hexdigest())
+PY
+    python - > conv_hex.txt <<'PY'
+from hashlib import sha256
+
+import numpy as np
+
+from geoalign.autodiff import Kernel2D, Tape, Tensor, conv2d, mul, sum_all
+
+cases = [((1, 64, 16, 16), (64, 3, 3), 1), ((1, 64, 16, 16), (64, 3, 3), 2),
+         ((1, 64, 16, 16), (64, 3, 3), 4), ((1, 3, 16, 16), (3, 3, 3), 1),
+         ((3, 4, 8, 8), (4, 3, 3), 1), ((72, 4, 8, 8), (72, 4, 3, 3), 4),
+         ((1, 2, 128, 128), (2, 3, 3), 2), ((2, 9, 3, 2), (9, 5, 5), 3)]
+for seed, (shape, stencil_shape, dilation) in enumerate(cases):
+    rng = np.random.default_rng(seed)
+    if shape[1] == 2:
+        x = np.broadcast_to(rng.normal(size=(shape[0], 1) + shape[2:]), shape)
+    else:
+        x = rng.normal(size=shape)
+    tape = Tape()
+    xt, kt = tape.leaf(x), tape.leaf(rng.normal(size=stencil_shape))
+    out = conv2d(xt, Kernel2D(kt, dilation=dilation))
+    tape.backward(sum_all(mul(out, Tensor(rng.normal(size=shape)))))
+    for name, a in (("out", out.data), ("grad_x", xt.grad), ("grad_k", kt.grad)):
+        print(shape, stencil_shape, dilation, name, sha256(a.tobytes()).hexdigest())
 PY
   )
 }

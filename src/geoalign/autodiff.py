@@ -181,9 +181,20 @@ def absolute(t: Tensor) -> Tensor:
 
 
 def _logistic(x: Array) -> Array:
-    """Stable in both tails: never exponentiates a positive number."""
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+    """Stable in both tails: never exponentiates a positive number.
+
+    With ``z = exp(-|x|)``, the value is ``1 / (1 + z)`` where ``x >= 0`` and
+    ``z / (1 + z)`` elsewhere. Since ``z <= 1``, ``max(z, x >= 0)`` is that
+    numerator without a branch. ``z`` is built in place; ``out=`` keeps it an
+    array on 0-d input.
+    """
+    z = np.abs(x, out=np.empty_like(x))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    p = np.maximum(z, x >= 0.0)
+    z += 1.0
+    p /= z
+    return p
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -354,40 +365,61 @@ def conv2d(t: Tensor, kernel: Kernel2D) -> Tensor:
     kw = kernel.weights
     k, d = kernel.size, kernel.dilation
     pad = (k // 2) * d
-    # Replicate padding as a clamped-index gather. One ``take`` per axis
-    # returns a C-contiguous copy, so the pullback's ``zeros_like(xp)`` and
-    # einsum sums run in the same order as on a padded copy; a one-step fancy
-    # index would return another layout and change the gradients' last bits.
-    rows = np.minimum(np.maximum(np.arange(-pad, h + pad), 0), h - 1)
-    cols = np.minimum(np.maximum(np.arange(-pad, w + pad), 0), w - 1)
-    xp = t.data.take(rows, axis=2).take(cols, axis=3)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    # With more channels than columns, the padded input is held channel-last,
+    # so a tap is b*h rows of w*c contiguous values instead of b*c*h rows of w.
+    # xp is its B x C x Hp x Wp view either way; replicate padding copies the
+    # interior, the top and bottom edge rows, then the left and right columns.
+    channel_last = c > w
+    buf = np.empty((b, hp, wp, c) if channel_last else (b, c, hp, wp))
+    xp = buf.transpose(0, 3, 1, 2) if channel_last else buf
+    xp[:, :, pad:pad + h, pad:pad + w] = t.data
+    xp[:, :, :pad, pad:pad + w] = t.data[:, :, :1]
+    xp[:, :, pad + h:, pad:pad + w] = t.data[:, :, -1:]
+    xp[:, :, :, :pad] = xp[:, :, :, pad:pad + 1]
+    xp[:, :, :, pad + w:] = xp[:, :, :, pad + w - 1:pad + w]
     # coeff[:, :, u, v] is tap (u, v)'s stencil weights as a (1, C, 1, 1) view,
     # or (B, C, 1, 1) for a per-item stack.
     coeff = kw.data.reshape(-1, c, k, k, 1, 1)
     # A shared stencil's gradient sums over the batch; a per-item one's does not.
     spec = "bchw,bchw->c" if kw.data.ndim == 3 else "bchw,bchw->bc"
 
-    def tap(u: int, v: int) -> Array:
-        return xp[:, :, u * d:u * d + h, v * d:v * d + w]
+    def tap(a: Array, u: int, v: int) -> Array:
+        return a[:, :, u * d:u * d + h, v * d:v * d + w]
 
-    out = np.zeros((b, c, h, w))
-    for u in range(k):
-        for v in range(k):
-            out += coeff[:, :, u, v] * tap(u, v)
+    # Each output value adds the same products in the same (u, v) order on
+    # either layout, so both give the same floats.
+    if channel_last:
+        rows = buf.reshape(b, hp, wp * c)
+        # tiled[u * k + v] is tap (u, v)'s weights repeated along a w*c row.
+        tiled = np.tile(kw.data.reshape(-1, c, k * k).transpose(2, 0, 1)[:, :, None, :], w)
+        acc = np.zeros((b, h, w * c))
+        for u in range(k):
+            for v in range(k):
+                acc += tiled[u * k + v] * rows[:, u * d:u * d + h, v * d * c:(v * d + w) * c]
+        out = np.ascontiguousarray(acc.reshape(b, h, w, c).transpose(0, 3, 1, 2))
+    else:
+        out = np.zeros((b, c, h, w))
+        for u in range(k):
+            for v in range(k):
+                out += coeff[:, :, u, v] * tap(xp, u, v)
 
     def pullback(g):
         gx = gw = None
         if t.tape is not None:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((b, c, hp, wp))
             for u in range(k):
                 for v in range(k):
                     gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff[:, :, u, v] * g
             gx = _fold_replicate(gxp, pad, h, w)
         if kw.tape is not None:
+            # einsum's summation order follows its operands' layout, so it
+            # reads a C-contiguous padded copy on either layout.
+            xc = np.ascontiguousarray(xp)
             gw = np.zeros_like(kw.data)
             for u in range(k):
                 for v in range(k):
-                    gw[..., u, v] = np.einsum(spec, g, tap(u, v))
+                    gw[..., u, v] = np.einsum(spec, g, tap(xc, u, v))
         return gx, gw
 
     return _emit((t, kw), out, pullback)

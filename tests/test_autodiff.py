@@ -270,11 +270,18 @@ class TestElementwiseAndReductions:
         assert s[0] == 1.0 and s[1] == 0.0
 
     def test_sigmoid_matches_two_branch_logistic_bit_for_bit(self):
-        x = np.concatenate([[0.0, -0.0, 745.0, -745.0, 1e300, -1e300],
-                            np.random.default_rng(3).normal(0.0, 30.0, 500)])
-        z = np.exp(-np.abs(x))
-        want = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-        assert np.array_equal(sigmoid(Tensor(x)).data.view(np.int64), want.view(np.int64))
+        tails = np.concatenate([[0.0, -0.0, 745.0, -745.0, 1e300, -1e300],
+                                np.random.default_rng(3).normal(0.0, 30.0, 500)])
+        feature_map = np.random.default_rng(4).normal(size=(1, 64, 16, 16))
+        for x in (tails, np.array(-0.75), np.array(2.5), feature_map):
+            before = x.tobytes()
+            z = np.exp(-np.abs(x))
+            want = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+            got = sigmoid(Tensor(x)).data
+            assert got.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+            # The logistic works in place on its own buffers, never on its input.
+            assert x.tobytes() == before
 
     def test_log1p_exp_softplus_values(self):
         out = log1p_exp(Tensor([0.0, 100.0, -100.0])).data
@@ -627,21 +634,23 @@ class TestConvProperty:
 
 def padded_conv2d(x, stencils, dilation, g):
     """conv2d in its earlier ``np.pad`` form: the output, and the input and
-    kernel gradients for the upstream gradient ``g``."""
+    kernel gradients for the upstream gradient ``g``. ``stencils`` is a
+    ``(C, k, k)`` stack or a per-item ``(B, C, k, k)`` one."""
     b, c, h, w = x.shape
     k = stencils.shape[-1]
     d = dilation
     pad = (k // 2) * d
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    spec = "bchw,bchw->c" if stencils.ndim == 3 else "bchw,bchw->bc"
     out = np.zeros((b, c, h, w))
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(stencils)
     for u in range(k):
         for v in range(k):
             tap = xp[:, :, u * d:u * d + h, v * d:v * d + w]
-            coeff = stencils[:, u, v].reshape(1, c, 1, 1)
+            coeff = stencils[..., u, v].reshape(-1, c, 1, 1)
             out += coeff * tap
-            gw[:, u, v] = np.einsum("bchw,bchw->c", g, tap)
+            gw[..., u, v] = np.einsum(spec, g, tap)
             gxp[:, :, u * d:u * d + h, v * d:v * d + w] += coeff * g
     # Fold the padded border's gradient back onto the edge rows, then columns.
     rows = gxp[:, :, pad:pad + h, :].copy()
@@ -653,27 +662,62 @@ def padded_conv2d(x, stencils, dilation, g):
     return out, gx, gw
 
 
+def assert_conv_matches_padded_form(x, stencils, dilation, g):
+    """conv2d's output, input gradient and kernel gradient on tape leaves
+    equal ``padded_conv2d``'s, byte for byte."""
+    tape = Tape()
+    xt, kt = tape.leaf(x), tape.leaf(stencils)
+    out = conv2d(xt, Kernel2D(kt, dilation=dilation))
+    # sum_all passes back ones and 1.0 * g is g, so conv2d's pullback gets g.
+    tape.backward(sum_all(mul(out, Tensor(g))))
+    want_out, want_gx, want_gw = padded_conv2d(x, stencils, dilation, g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert xt.grad.tobytes() == want_gx.tobytes()
+    assert kt.grad.tobytes() == want_gw.tobytes()
+
+
 class TestConvMatchesPaddedForm:
-    """The clamped-index gather gives the padded form's floats, bit for bit."""
+    """Slice-copy padding on either buffer layout (channel-last when C > W)
+    gives the padded form's floats, bit for bit."""
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(b=st.integers(1, 9), c=st.integers(1, 9), h=st.integers(1, 9),
            w=st.integers(1, 9), k=st.sampled_from([1, 3, 5]),
-           dilation=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_output_and_gradients_are_bitwise_equal(self, b, c, h, w, k, dilation, seed):
+           dilation=st.integers(1, 3), per_item=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_output_and_gradients_are_bitwise_equal(self, b, c, h, w, k, dilation,
+                                                    per_item, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(b, c, h, w))
-        stencils = rng.normal(size=(c, k, k))
+        stencils = rng.normal(size=(b, c, k, k) if per_item else (c, k, k))
         g = rng.normal(size=(b, c, h, w))
-        tape = Tape()
-        xt, kt = tape.leaf(x), tape.leaf(stencils)
-        out = conv2d(xt, Kernel2D(kt, dilation=dilation))
-        # sum_all passes back ones and 1.0 * g is g, so conv2d's pullback gets g.
-        tape.backward(sum_all(mul(out, Tensor(g))))
-        want_out, want_gx, want_gw = padded_conv2d(x, stencils, dilation, g)
-        assert out.data.tobytes() == want_out.tobytes()
-        assert xt.grad.tobytes() == want_gx.tobytes()
-        assert kt.grad.tobytes() == want_gw.tobytes()
+        assert_conv_matches_padded_form(x, stencils, dilation, g)
+
+    # The shapes the workloads run: retrieval's 64-channel maps (channel-last)
+    # at the encoder's and the scale branches' dilations, the 3-channel depth
+    # stack, gradcheck's 4-channel maps and probe batch, the mask's broadcast
+    # 2-channel Sobel input (NCHW), and a channel-last raster narrower than
+    # its padding.
+    @pytest.mark.parametrize("shape, stencil_shape, dilation", [
+        ((1, 64, 16, 16), (64, 3, 3), 1),
+        ((1, 64, 16, 16), (64, 3, 3), 2),
+        ((1, 64, 16, 16), (64, 3, 3), 4),
+        ((1, 3, 16, 16), (3, 3, 3), 1),
+        ((3, 4, 8, 8), (4, 3, 3), 1),
+        ((72, 4, 8, 8), (72, 4, 3, 3), 4),
+        ((1, 2, 128, 128), (2, 3, 3), 2),
+        ((2, 9, 3, 2), (9, 5, 5), 3),
+    ])
+    def test_workload_shapes_are_bitwise_equal(self, shape, stencil_shape, dilation):
+        rng = np.random.default_rng(sum(shape) + dilation)
+        if shape[1] == 2:
+            # structure_filter.macro_gradient broadcasts one depth map to both channels.
+            x = np.broadcast_to(rng.normal(size=(shape[0], 1) + shape[2:]), shape)
+        else:
+            x = rng.normal(size=shape)
+        stencils = rng.normal(size=stencil_shape)
+        g = rng.normal(size=shape)
+        assert_conv_matches_padded_form(x, stencils, dilation, g)
 
 
 def pullback_of(op, x, g):
