@@ -1,5 +1,6 @@
-"""The package root and the ``python -m geoalign`` process boundary."""
+"""The package root, the ``python -m geoalign`` process boundary and the byte-check runner."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,11 +19,11 @@ SUBMODULES = ("autodiff", "checks", "cli", "formats", "losses", "retrieval",
               "scale_fusion", "scenes", "structure_filter")
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, text=True):
     """Run the interpreter with ``src`` first on the import path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                          text=text, timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestPackageRoot:
@@ -74,3 +75,44 @@ class TestModuleEntryPoint:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ")
+
+
+class TestCommandTable:
+    """``scripts/commands.py`` runs an entry in-process as a child process would."""
+
+    RUNNER = ROOT / "scripts" / "commands.py"
+
+    def load(self):
+        spec = importlib.util.spec_from_file_location("commands", self.RUNNER)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("command, code", [
+        ("synth city.spec out --view ortho", 0),  # a table entry
+        ("synth small.spec err", 1),  # a must-fail table entry
+        ("synth city.spec out --view sideways", 1),  # argparse's SystemExit, not in the table
+    ])
+    def test_in_process_run_matches_a_child(self, tmp_path, monkeypatch, command, code):
+        commands = self.load()
+        in_table = any(entry[1] == command for entry in commands.COMMANDS)
+        assert in_table == ("sideways" not in command)
+        here, child = tmp_path / "here", tmp_path / "child"
+        for where in (child, here):
+            where.mkdir()
+            monkeypatch.chdir(where)
+            commands.write_inputs()
+        stdout, got, stderr = commands.run(command)
+        proc = run_python(["-m", "geoalign", *command.split()], child, text=False)
+        assert (stdout.encode(), got, stderr.encode()) == (proc.stdout, code, proc.stderr)
+        assert proc.returncode == code
+        files = {where: {p.relative_to(where): p.read_bytes()
+                         for p in where.rglob("*") if p.is_file()} for where in (here, child)}
+        assert files[here] == files[child]
+
+    def test_runner_refuses_a_tree_without_the_package(self, tmp_path):
+        proc = run_python([str(self.RUNNER), str(tmp_path), str(tmp_path / "out")], tmp_path)
+        installed = SRC / "geoalign" / "__init__.py"
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"geoalign imports from {installed}, not from ")
+        assert not (tmp_path / "out").exists()
